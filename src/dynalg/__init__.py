@@ -5,7 +5,7 @@ The library works over a finite group acting on a finite point set.  Its
 pieces: exact scalars and C(X) functions, crossed-product elements and
 matrix amplifications with a faithful representation, one-sided
 normalizer predicates, the dynamical subequivalence preorder with
-complete witness search, a compiler between witnesses and one-sided
+explicit witnesses, a compiler between witnesses and one-sided
 normalizers, the type semigroup with almost-unperforation checks,
 castles and castle order zero maps with an exact decomposition round
 trip, and tracial-stability instance evaluation.
@@ -20,6 +20,7 @@ from .errors import (
     InvalidCastle,
     InvalidCastleData,
     InvalidWitness,
+    InvariantViolation,
     NotFree,
     NotNormalizerPreserving,
     NotOrderZero,

@@ -46,6 +46,7 @@ from .errors import (
     ExactnessError,
     InvalidCastle,
     InvalidCastleData,
+    InvariantViolation,
     NotFree,
     NotNormalizerPreserving,
     NotOrderZero,
@@ -542,7 +543,8 @@ def decompose_ozm(phi: OrderZeroMap) -> CastleOzmData:
         castle=castle, weights=tuple(weights), phases=tuple(phases), n=n
     )
     rebuilt = build_castle_ozm(data)
-    assert rebuilt == phi, "rebuilt map differs from the input"
+    if rebuilt != phi:
+        raise InvariantViolation("rebuilt map differs from the input")
     return data
 
 

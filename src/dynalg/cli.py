@@ -64,7 +64,7 @@ from .comparison import (
     type_semigroup,
 )
 from .dynsys import DynSystem, FiniteGroup, extreme_invariant_measures, validate_system
-from .errors import DynalgError, NotFree, ParseError
+from .errors import DynalgError, ParseError
 from .scalars import FloatScalar, RadScalar
 from .witness import compile_witness, extract_witness
 
@@ -378,6 +378,11 @@ def _emit(report, args) -> int:
 # -- command handlers ------------------------------------------------------
 
 
+def _check_max_n(args) -> None:
+    if args.max_n < 0:
+        raise ParseError("--max-n must be nonnegative, got %d" % args.max_n)
+
+
 def cmd_system_check(args) -> int:
     started = time.perf_counter()
     payload = _load_json(args.system)
@@ -399,6 +404,8 @@ def cmd_system_check(args) -> int:
 
 def cmd_compare(args) -> int:
     started = time.perf_counter()
+    if args.semigroup:
+        _check_max_n(args)
     payload = _load_json(args.system)
     sys_obj = parse_system(payload)
     validate_system(sys_obj)
@@ -418,10 +425,7 @@ def cmd_compare(args) -> int:
         for mu in measures
     ]
     if args.oracle:
-        try:
-            result["cuntz_oracle"] = cuntz_oracle(a, b, tol=args.tolerance)
-        except NotFree as exc:
-            raise
+        result["cuntz_oracle"] = cuntz_oracle(a, b, tol=args.tolerance)
     if args.semigroup:
         W = type_semigroup(sys_obj, args.max_n, budget=args.budget)
         result["semigroup"] = {
@@ -564,6 +568,7 @@ def cmd_castle(args) -> int:
 
 def cmd_semigroup(args) -> int:
     started = time.perf_counter()
+    _check_max_n(args)
     payload = _load_json(args.system)
     sys_obj = parse_system(payload)
     validate_system(sys_obj)

@@ -1,4 +1,4 @@
-"""Dynamical subequivalence, witness search, and the type semigroup.
+"""Dynamical subequivalence, witnesses, and the type semigroup.
 
 A tuple of sets (F_1, ..., F_n) is subequivalent to (V_1, ..., V_m) when
 each F_i is covered by pieces U_{i,j} whose translates s_{i,j}U_{i,j},
@@ -7,11 +7,18 @@ targets V_{k_{i,j}}.  On a finite space every subset is clopen, so for
 diagonal tuples the single maximal choice F_i = supp(a_i) decides the
 preorder.
 
-The search assigns a (group element, target) pair to every point rather
-than enumerating covers; grouping an injective per-point assignment by
-its pairs produces a witness and conversely, so the two formulations are
-equivalent.  Search order is lexicographic in (point, group, target)
-indices and complete: None means no witness exists.
+A witness is the same thing as an injective per-point assignment of
+(group element, target) pairs: grouping the points by their pairs gives
+the pieces.  The group acts transitively on each orbit, so a point can
+reach every tagged target point of its own orbit, and the preorder is
+decided by counting: F is subequivalent to V exactly when, orbit by
+orbit, F puts no more points in it than V does.  The per-orbit count
+vector is therefore a complete invariant of a type semigroup class: the
+semigroup's order compares these vectors componentwise and its addition
+sums them.
+``search_subequivalence`` still returns an explicit witness, the
+lexicographically least one in (point, group, target) order, built by
+one greedy pass once the counts fit.
 """
 
 from __future__ import annotations
@@ -123,82 +130,51 @@ def _assignment_to_witness(
     return Witness(rows)
 
 
+def _orbit_counts(sys: DynSystem, sets: Iterable[Iterable[int]]) -> tuple[int, ...]:
+    """Points per orbit, summed over the sets (with multiplicity)."""
+    counts = [0] * len(sys.orbit_partition)
+    orbit_of = sys.orbit_id
+    for s in sets:
+        for x in s:
+            counts[orbit_of[x]] += 1
+    return tuple(counts)
+
+
 def search_subequivalence(
     sys: DynSystem,
     F: Sequence[Iterable[int]],
     V: Sequence[Iterable[int]],
 ) -> Optional[Witness]:
-    """Exhaustive backtracking search for a witness; None means none exists.
+    """The lexicographically least witness, or None when none exists.
 
-    Each point of each F_i gets a pair (s, k) with s.point in V_k, all
-    tagged images distinct.  Points are visited in (row, point) order and
-    pairs tried in (group, target) order, so the returned witness is the
-    lexicographically least one.  Subtrees that cannot be completed for
-    counting reasons (per orbit, remaining points exceed unused tagged
-    targets) are pruned; the prune only removes infeasible branches, so
-    completeness is preserved.
+    A witness exists exactly when, for every orbit, F puts no more points
+    in it than V does: the group acts transitively on each orbit, so a
+    point may be sent to any tagged target point of its own orbit.  When
+    the counts fit, one greedy pass builds the witness: points are
+    visited in (row, point) order and each takes the least (group,
+    target) pair whose tagged image is still unused.  Each pick spends
+    one point and one tagged target of the same orbit, so the counts keep
+    fitting and a pick always exists; no choice is ever revised, so the
+    result is the least witness in that order.
     """
     F = [frozenset(s) for s in F]
     V = [frozenset(s) for s in V]
+    need, supply = _orbit_counts(sys, F), _orbit_counts(sys, V)
+    if any(n > s for n, s in zip(need, supply)):
+        return None
     points = [(i, p) for i, Fi in enumerate(F) for p in sorted(Fi)]
-    if not points:
-        return Witness(tuple(() for _ in F))
-    choices = []
+    used: set[tuple[int, int]] = set()
+    choice: list[tuple[int, int]] = []
     for _, p in points:
-        opts = [
+        s, k = next(
             (s, k)
             for s in range(sys.group.order)
             for k in range(len(V))
-            if sys.act[s][p] in V[k]
-        ]
-        if not opts:
-            return None
-        choices.append(opts)
-
-    orbit_of = sys.orbit_id
-    n_orbits = len(sys.orbit_partition)
-    capacity = [0] * n_orbits
-    for k, Vk in enumerate(V):
-        for q in Vk:
-            capacity[orbit_of[q]] += 1
-    remaining_after = [[0] * n_orbits for _ in range(len(points) + 1)]
-    for d in range(len(points) - 1, -1, -1):
-        counts = list(remaining_after[d + 1])
-        counts[orbit_of[points[d][1]]] += 1
-        remaining_after[d] = counts
-
-    used: set[tuple[int, int]] = set()
-    used_per_orbit = [0] * n_orbits
-    choice: list[tuple[int, int]] = []
-
-    def feasible(depth: int) -> bool:
-        rem = remaining_after[depth]
-        return all(rem[o] <= capacity[o] - used_per_orbit[o] for o in range(n_orbits))
-
-    def dfs(depth: int) -> bool:
-        if depth == len(points):
-            return True
-        if not feasible(depth):
-            return False
-        _, p = points[depth]
-        for s, k in choices[depth]:
-            q = sys.act[s][p]
-            tag = (q, k)
-            if tag in used:
-                continue
-            used.add(tag)
-            used_per_orbit[orbit_of[q]] += 1
-            choice.append((s, k))
-            if dfs(depth + 1):
-                return True
-            choice.pop()
-            used_per_orbit[orbit_of[q]] -= 1
-            used.remove(tag)
-        return False
-
-    if dfs(0):
-        return _assignment_to_witness(points, choice, len(F))
-    return None
+            if sys.act[s][p] in V[k] and (sys.act[s][p], k) not in used
+        )
+        used.add((sys.act[s][p], k))
+        choice.append((s, k))
+    return _assignment_to_witness(points, choice, len(F))
 
 
 def diag_subequivalent(a: DiagTuple, b: DiagTuple) -> tuple[bool, Optional[Witness]]:
@@ -262,30 +238,15 @@ def dynamical_comparison_check(
 # -- the type semigroup --------------------------------------------------
 
 
-def _subeq_supports(sys: DynSystem, A, B) -> bool:
-    return search_subequivalence(sys, A, B) is not None
-
-
-def _dtau_key(measures, supports) -> tuple:
-    return tuple(
-        sum((mu.measure(s) for s in supports), Fraction(0)) for mu in measures
-    )
-
-
-def _mask_of(s: frozenset) -> int:
-    return sum(1 << x for x in s)
-
-
 class TypeSemigroup:
     """Equivalence classes of diagonal indicator tuples, truncated at max_n.
 
-    ``classes`` holds lexicographically least representatives; the order
-    relation and the addition table are decided by witness search against
-    the representatives.  Entries are memoized on first use, since the
-    full tables grow quadratically in the class count; ``order`` and
-    ``add`` materialize them for table-sized systems.  A constructed
-    instance may also carry explicit tables (used by table-level checks
-    and fixtures), which then answer every query.
+    ``classes`` holds lexicographically least representatives.  A class
+    is determined by its per-orbit count vector (points per orbit, summed
+    over the entries), so the order is componentwise comparison of those
+    vectors and addition sums them.  A constructed instance may also
+    carry explicit tables (used by table-level checks and fixtures),
+    which then answer every query.
     """
 
     def __init__(
@@ -294,7 +255,6 @@ class TypeSemigroup:
         max_n: int,
         classes: Sequence[DiagTuple],
         support_reps: Optional[Sequence[tuple]] = None,
-        buckets: Optional[dict] = None,
         order: Optional[Sequence[Sequence[bool]]] = None,
         add: Optional[dict] = None,
     ):
@@ -306,20 +266,16 @@ class TypeSemigroup:
         self._support_reps = tuple(
             tuple(s for s in rep if s) for rep in support_reps
         )
-        if buckets is None:
-            measures = extreme_invariant_measures(system)
-            buckets = {}
-            for idx, rep in enumerate(self._support_reps):
-                buckets.setdefault(_dtau_key(measures, rep), []).append(idx)
-        self._buckets = buckets
+        self._vectors = tuple(_orbit_counts(system, rep) for rep in self._support_reps)
+        self._index: dict[tuple[int, ...], int] = {}
+        for idx, vec in enumerate(self._vectors):
+            self._index.setdefault(vec, idx)
         self._explicit_order = (
             tuple(tuple(bool(v) for v in row) for row in order)
             if order is not None
             else None
         )
         self._explicit_add = dict(add) if add is not None else None
-        self._le_memo: dict = {}
-        self._add_memo: dict = {}
 
     @property
     def n_classes(self) -> int:
@@ -333,28 +289,23 @@ class TypeSemigroup:
         """Class i below class j in the induced order."""
         if self._explicit_order is not None:
             return self._explicit_order[i][j]
-        if i == j:
-            return True
-        key = (i, j)
-        hit = self._le_memo.get(key)
-        if hit is None:
-            hit = _subeq_supports(
-                self.system, self._support_reps[i], self._support_reps[j]
-            )
-            self._le_memo[key] = hit
-        return hit
+        return all(a <= b for a, b in zip(self._vectors[i], self._vectors[j]))
+
+    def _lookup(self, length: int, vector: tuple[int, ...]) -> Optional[int]:
+        if not length:
+            return self.zero_class
+        if length > self.max_n:
+            return None
+        return self._index.get(vector)
 
     def add_classes(self, i: int, j: int) -> Optional[int]:
         """Class of the direct sum, or None when it leaves the table."""
         if self._explicit_add is not None:
             return self._explicit_add[(i, j)]
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        if key not in self._add_memo:
-            combined = self._support_reps[i] + self._support_reps[j]
-            self._add_memo[key] = self.class_of_supports(combined)
-        return self._add_memo[key]
+        return self._lookup(
+            len(self._support_reps[i]) + len(self._support_reps[j]),
+            tuple(a + b for a, b in zip(self._vectors[i], self._vectors[j])),
+        )
 
     def multiple(self, i: int, m: int) -> Optional[int]:
         """Class of m copies of class i, or None when it leaves the table."""
@@ -369,20 +320,8 @@ class TypeSemigroup:
 
     def class_of_supports(self, supports) -> Optional[int]:
         """Locate the class of a tuple of supports; None if out of table."""
-        stripped = tuple(sorted((frozenset(s) for s in supports if s), key=_mask_of))
-        if not stripped:
-            return self.zero_class
-        if len(stripped) > self.max_n:
-            return None
-        measures = extreme_invariant_measures(self.system)
-        key = _dtau_key(measures, stripped)
-        for idx in self._buckets.get(key, ()):
-            rep = self._support_reps[idx]
-            if _subeq_supports(self.system, stripped, rep) and _subeq_supports(
-                self.system, rep, stripped
-            ):
-                return idx
-        return None
+        stripped = [s for s in supports if s]
+        return self._lookup(len(stripped), _orbit_counts(self.system, stripped))
 
     def class_of(self, a: DiagTuple) -> Optional[int]:
         return self.class_of_supports(a.supports())
@@ -410,21 +349,19 @@ class TypeSemigroup:
 
 
 def type_semigroup(sys: DynSystem, max_n: int, budget: int = 500_000) -> TypeSemigroup:
-    """Enumerate indicator tuples up to size max_n and quotient by mutual
-    subequivalence (decided by witness search both ways).
+    """Enumerate indicator tuples up to size max_n and group them by class.
 
-    Candidates are enumerated in lexicographic order (length, then entry
-    bitmasks ascending), so the first member seen of each class is its
-    canonical representative.  Tuples with a zero entry other than the
-    single zero tuple are skipped: dropping zero entries never changes a
-    class, and the shorter stripped tuple is enumerated earlier.  Buckets
-    keyed by the exact measure vector of the supports limit the pairwise
-    comparisons; the preorder is monotone in that vector, so distinct
-    keys can never be mutually subequivalent.  Raises ResourceBound when
-    more than ``budget`` candidates would be enumerated.
+    Two tuples are mutually subequivalent exactly when they have the same
+    per-orbit count vector (see ``search_subequivalence``), so the vector
+    keys the class.  Candidates are enumerated in lexicographic order
+    (length, then entry bitmasks ascending), so the first member seen of
+    each class is its canonical representative.  Tuples with a zero entry
+    other than the single zero tuple are skipped: dropping zero entries
+    never changes a class, and the shorter stripped tuple is enumerated
+    earlier.  Raises ResourceBound when more than ``budget`` candidates
+    would be enumerated.
     """
     nx = sys.n_points
-    measures = extreme_invariant_measures(sys)
     nonzero_masks = list(range(1, 1 << nx))
     total = 1 + sum(
         _count_multisets(len(nonzero_masks), k) for k in range(1, max_n + 1)
@@ -434,34 +371,16 @@ def type_semigroup(sys: DynSystem, max_n: int, budget: int = 500_000) -> TypeSem
             "semigroup enumeration needs %d candidates, budget is %d" % (total, budget)
         )
 
-    mask_sets = {m: frozenset(x for x in range(nx) if m >> x & 1) for m in range(1 << nx)}
-    mask_measures = [
-        [mu.measure(mask_sets[m]) for mu in measures] for m in range(1 << nx)
-    ]
-    reps: list[tuple[frozenset, ...]] = []
-    buckets: dict = {}
-
-    def classify(masks: tuple) -> None:
-        key = tuple(
-            sum(mask_measures[m][t] for m in masks) for t in range(len(measures))
-        )
-        supports = None
-        for idx in buckets.get(key, ()):
-            if supports is None:
-                supports = tuple(mask_sets[m] for m in masks if m)
-            if _subeq_supports(sys, supports, reps[idx]) and _subeq_supports(
-                sys, reps[idx], supports
-            ):
-                return
-        if supports is None:
-            supports = tuple(mask_sets[m] for m in masks if m)
-        buckets.setdefault(key, []).append(len(reps))
-        reps.append(supports)
-
-    classify((0,))  # the zero class, represented by one zero entry
+    mask_sets = {m: frozenset(x for x in range(nx) if m >> x & 1) for m in nonzero_masks}
+    mask_vectors = {m: _orbit_counts(sys, [mask_sets[m]]) for m in nonzero_masks}
+    seen = {_orbit_counts(sys, [])}
+    reps: list[tuple[frozenset, ...]] = [()]  # the zero class
     for k in range(1, max_n + 1):
         for combo in itertools.combinations_with_replacement(nonzero_masks, k):
-            classify(combo)
+            vector = tuple(map(sum, zip(*(mask_vectors[m] for m in combo))))
+            if vector not in seen:
+                seen.add(vector)
+                reps.append(tuple(mask_sets[m] for m in combo))
 
     class_reps = []
     for rep in reps:
@@ -472,7 +391,6 @@ def type_semigroup(sys: DynSystem, max_n: int, budget: int = 500_000) -> TypeSem
         max_n=max_n,
         classes=tuple(class_reps),
         support_reps=tuple(reps),
-        buckets=buckets,
     )
 
 

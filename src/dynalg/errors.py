@@ -79,3 +79,7 @@ class NotOrderZero(DynalgError):
 
 class ParseError(DynalgError):
     """An input file or literal cannot be parsed; the message locates the issue."""
+
+
+class InvariantViolation(DynalgError):
+    """An internal postcondition fails; this is a bug, not an input error."""

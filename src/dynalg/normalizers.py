@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .algebra import CrossedElement, Func, MatrixElement, to_product_element
 from .dynsys import DynSystem
-from .errors import HypothesisViolated, NotFree
+from .errors import HypothesisViolated, InvariantViolation, NotFree
 
 __all__ = [
     "is_normalizer",
@@ -179,10 +179,10 @@ def orthogonal_sum(
         r_certified=require_r,
         s_certified=require_s,
     )
-    if require_r:
-        assert is_r_normalizer(total), "certified r-normalizer failed the predicate"
-    if require_s:
-        assert is_s_normalizer(total), "certified s-normalizer failed the predicate"
+    if require_r and not is_r_normalizer(total):
+        raise InvariantViolation("certified r-normalizer failed the predicate")
+    if require_s and not is_s_normalizer(total):
+        raise InvariantViolation("certified s-normalizer failed the predicate")
     return result
 
 
@@ -194,8 +194,8 @@ def check_square_in_subalgebra(a: CrossedElement) -> bool:
     """
     astar = a.adjoint()
     member = (astar * a).in_diagonal and (a * astar).in_diagonal
-    if is_normalizer(a):
-        assert member, "normalizer with a*a or aa* outside C(X)"
+    if not member and is_normalizer(a):
+        raise InvariantViolation("normalizer with a*a or aa* outside C(X)")
     return member
 
 
@@ -203,13 +203,14 @@ def check_normalizer_preserving(images, n: int) -> bool:
     """All matrix-unit images are normalizers.
 
     ``images`` maps (i, j) pairs to crossed-product elements.  When the
-    check passes, the diagonal images are additionally asserted to lie in
-    C(X), which is forced for positive maps.
+    check passes, the diagonal images must additionally lie in C(X), which
+    is forced for positive maps; InvariantViolation reports a failure.
     """
     for i in range(n):
         for j in range(n):
             if not is_normalizer(images[(i, j)]):
                 return False
     for i in range(n):
-        assert images[(i, i)].in_diagonal, "diagonal image outside C(X)"
+        if not images[(i, i)].in_diagonal:
+            raise InvariantViolation("diagonal image outside C(X)")
     return True

@@ -36,6 +36,7 @@ from .algebra import (
 from .comparison import Witness, check_witness, diag_subequivalent, search_subequivalence
 from .errors import (
     InvalidWitness,
+    InvariantViolation,
     NotPositive,
     NotRational,
     PreconditionFailed,
@@ -208,7 +209,8 @@ def extract_witness(
         triples.sort(key=lambda t3: (t3[1], t3[2], sorted(t3[0])))
         rows.append(tuple(triples))
     w = Witness(tuple(rows))
-    assert check_witness(sys, acut.supports(), V, w), "extracted witness invalid"
+    if not check_witness(sys, acut.supports(), V, w):
+        raise InvariantViolation("extracted witness invalid")
     return w
 
 
@@ -245,9 +247,10 @@ def single_row_rnormalizer(
     v = CrossedElement.zero(sys)
     for c, s in zip(translated, moves):
         v = v + CrossedElement.monomial(c, s)
-    assert coefficient_supports_disjoint(v)
-    if sys.is_free:
-        assert is_r_normalizer(v)
+    if not coefficient_supports_disjoint(v):
+        raise InvariantViolation("assembled coefficient supports overlap")
+    if sys.is_free and not is_r_normalizer(v):
+        raise InvariantViolation("assembled element is not an r-normalizer")
     return v
 
 

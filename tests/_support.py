@@ -13,6 +13,7 @@ from dynalg import (
     Func,
     MatrixElement,
     RadScalar,
+    Witness,
 )
 
 VALUE_POOL = [
@@ -162,6 +163,80 @@ def brute_force_subequivalence(sys: DynSystem, F, V) -> bool:
         if len(set(tags)) == len(tags):
             return True
     return False
+
+
+def backtracking_subequivalence(sys: DynSystem, F, V):
+    """The lexicographically least witness by exhaustive backtracking.
+
+    Each point of each F_i gets a pair (s, k) with s.point in V_k, all
+    tagged images distinct; points are visited in (row, point) order and
+    pairs tried in (group, target) order.  Subtrees whose remaining points
+    outnumber the unused tagged targets of some orbit are pruned.  Returns
+    None when no witness exists.
+    """
+    F = [frozenset(s) for s in F]
+    V = [frozenset(s) for s in V]
+    points = [(i, p) for i, Fi in enumerate(F) for p in sorted(Fi)]
+    choices = []
+    for _, p in points:
+        opts = [
+            (s, k)
+            for s in range(sys.group.order)
+            for k in range(len(V))
+            if sys.act[s][p] in V[k]
+        ]
+        if not opts:
+            return None
+        choices.append(opts)
+
+    orbit_of = sys.orbit_id
+    n_orbits = len(sys.orbit_partition)
+    capacity = [0] * n_orbits
+    for Vk in V:
+        for q in Vk:
+            capacity[orbit_of[q]] += 1
+    remaining_after = [[0] * n_orbits for _ in range(len(points) + 1)]
+    for d in range(len(points) - 1, -1, -1):
+        counts = list(remaining_after[d + 1])
+        counts[orbit_of[points[d][1]]] += 1
+        remaining_after[d] = counts
+
+    used: set = set()
+    used_per_orbit = [0] * n_orbits
+    choice: list = []
+
+    def dfs(depth: int) -> bool:
+        if depth == len(points):
+            return True
+        rem = remaining_after[depth]
+        if any(rem[o] > capacity[o] - used_per_orbit[o] for o in range(n_orbits)):
+            return False
+        _, p = points[depth]
+        for s, k in choices[depth]:
+            q = sys.act[s][p]
+            if (q, k) in used:
+                continue
+            used.add((q, k))
+            used_per_orbit[orbit_of[q]] += 1
+            choice.append((s, k))
+            if dfs(depth + 1):
+                return True
+            choice.pop()
+            used_per_orbit[orbit_of[q]] -= 1
+            used.remove((q, k))
+        return False
+
+    if not dfs(0):
+        return None
+    grouped: list = [dict() for _ in F]
+    for (i, p), (s, k) in zip(points, choice):
+        grouped[i].setdefault((s, k), set()).add(p)
+    return Witness(
+        tuple(
+            tuple((frozenset(pts), s, k) for (s, k), pts in sorted(g.items()))
+            for g in grouped
+        )
+    )
 
 
 def standard_free_systems(max_points: int = 8, max_group: int = 4):

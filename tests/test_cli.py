@@ -396,6 +396,17 @@ def test_semigroup_max_n_zero(capsys, z2_file):
     assert report["result"]["classes"] == [[[]]]
 
 
+def test_negative_max_n_rejected(capsys, z2_file):
+    for argv in (
+        ["semigroup", "--system", z2_file, "--max-n", "-1"],
+        ["compare", "--system", z2_file, "--a", "chi:0", "--b", "chi:1",
+         "--semigroup", "--max-n", "-1"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+
 def test_float_mode_element_file(capsys, tmp_path, z3_file):
     func_path = tmp_path / "f.json"
     func_path.write_text(json.dumps([["0", "1/2 sqrt 2"], ["1", "1/3"]]))

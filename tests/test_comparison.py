@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,9 +26,11 @@ from dynalg import (
     extreme_invariant_measures,
     search_subequivalence,
     type_semigroup,
+    validate_system,
 )
 
 from _support import (
+    backtracking_subequivalence,
     brute_force_subequivalence,
     random_diag_tuple,
     random_free_system,
@@ -115,6 +118,35 @@ def test_search_nonfree(fixed_point_system):
     # the search itself makes sense for non-free systems too
     assert search_subequivalence(fixed_point_system, [{2}], [{0, 1}]) is None
     assert search_subequivalence(fixed_point_system, [{0}], [{1}]) is not None
+
+
+def quotient_system():
+    """Z/4 acting through Z/2: odd elements swap 0<->1, point 2 is fixed."""
+    sys = DynSystem(
+        FiniteGroup.cyclic(4),
+        ("0", "1", "2"),
+        tuple((1, 0, 2) if g % 2 else (0, 1, 2) for g in range(4)),
+    )
+    validate_system(sys)
+    return sys
+
+
+def test_search_matches_backtracking_oracle(fixed_point_system):
+    rng = random.Random(35)
+    systems = [random_free_system(rng, max_points=6) for _ in range(25)]
+    systems += [fixed_point_system, quotient_system()]
+    for sys in systems:
+        for _ in range(40):
+            F = random_subsets(rng, sys, rng.randint(0, 3), density=0.4)
+            V = random_subsets(rng, sys, rng.randint(0, 3), density=0.5)
+            expected = backtracking_subequivalence(sys, F, V)
+            got = search_subequivalence(sys, F, V)
+            if expected is None:
+                assert got is None
+                continue
+            assert got is not None and got.n_rows == expected.n_rows
+            for got_row, expected_row in zip(got.rows, expected.rows):
+                assert got_row == expected_row
 
 
 # -- diagonal tuples ----------------------------------------------------------------
@@ -232,6 +264,46 @@ def test_semigroup_addition_matches_union(z3):
     ab = DiagTuple.indicators(z3, [{0, 1}])
     ia, ib, iab = W.class_of(a), W.class_of(b), W.class_of(ab)
     assert W.add[(ia, ib)] == iab
+
+
+def oracle_semigroup(sys, max_n):
+    """Class supports, order and addition decided by mutual oracle search."""
+
+    def le(A, B):
+        return backtracking_subequivalence(sys, A, B) is not None
+
+    def classify(supports):
+        return next(
+            (i for i, rep in enumerate(reps) if le(supports, rep) and le(rep, supports)),
+            None,
+        )
+
+    subsets = [
+        frozenset(x for x in range(sys.n_points) if m >> x & 1)
+        for m in range(1, 1 << sys.n_points)
+    ]
+    reps = [()]
+    for k in range(1, max_n + 1):
+        for combo in itertools.combinations_with_replacement(subsets, k):
+            if classify(combo) is None:
+                reps.append(combo)
+    order = tuple(tuple(le(a, b) for b in reps) for a in reps)
+    add = {
+        (i, j): classify(a + b) if len(a + b) <= max_n else None
+        for i, a in enumerate(reps)
+        for j, b in enumerate(reps)
+    }
+    return reps, order, add
+
+
+def test_semigroup_matches_oracle_tables(z3, double_swap, fixed_point_system):
+    for sys in (z3, double_swap, fixed_point_system):
+        W = type_semigroup(sys, max_n=2)
+        reps, order, add = oracle_semigroup(sys, 2)
+        supports = [tuple(s for s in c.supports() if s) for c in W.classes]
+        assert supports == reps
+        assert W.order == order
+        assert W.add == add
 
 
 def test_semigroup_budget(z3):

@@ -6,6 +6,7 @@ from dynalg import (
     CrossedElement,
     Func,
     HypothesisViolated,
+    InvariantViolation,
     MatrixElement,
     NotFree,
     RadScalar,
@@ -236,6 +237,13 @@ def test_zero_map_preserves(z2):
 def test_identity_embedding_preserves(z3):
     phi = identity_embedding(z3)
     assert check_normalizer_preserving(phi.images, phi.n)
+
+
+def test_diagonal_image_outside_cx_raises(z3):
+    # a unitary is a normalizer, but a positive map cannot send e_00 to it;
+    # the typed error survives python -O, unlike an assert
+    with pytest.raises(InvariantViolation):
+        check_normalizer_preserving({(0, 0): CrossedElement.unitary(z3, 1)}, 1)
 
 
 def test_flat_map_fails(z3):
