@@ -56,6 +56,7 @@ from .algebra import (
     open_support,
     operator_norm,
     orbit_block_decomposition,
+    point_block,
     pos_cutdown,
     regular_rep,
     to_product_element,

@@ -44,6 +44,7 @@ __all__ = [
     "open_support",
     "pos_cutdown",
     "cond_expectation",
+    "point_block",
     "regular_rep",
     "orbit_block_decomposition",
     "operator_norm",
@@ -568,26 +569,42 @@ class DiagTuple:
 # -- faithful representation, norms, blocks -----------------------------
 
 
+def point_block(a: CrossedElement, x: int) -> np.ndarray:
+    """The representation on the fibre over the point x, a |G| x |G| matrix.
+
+    pi never moves the point: pi(f u_g) delta_{(h, x)} = f((g h).x)
+    delta_{(g h, x)}, so the span of the delta_{(h, x)} is invariant and the
+    entry at (row g h, column h) is a_g((g h).x).  For x' = s.x the unitary
+    V delta_h = delta_{h s} carries the block at x' onto the block at x,
+    so blocks over one orbit are unitarily equivalent.
+    """
+    sys = a.system
+    grp = sys.group
+    out = np.zeros((grp.order, grp.order), dtype=complex)
+    for g in a.nonzero_groups:
+        values = a.coeffs[g].values
+        for h in range(grp.order):
+            gh = grp.mul(g, h)
+            v = values[sys.act[gh][x]]
+            if not v.is_zero:
+                out[gh, h] = complex(v)
+    return out
+
+
 def regular_rep(a: CrossedElement) -> np.ndarray:
     """Faithful representation on the basis delta_{(h, x)}, as a float matrix.
 
     pi(f u_g) delta_{(h, x)} = f((g h).x) delta_{(g h, x)}; the map is
-    multiplicative and *-preserving, and injective for valid systems.
+    multiplicative and *-preserving, and injective for valid systems.  The
+    basis vector delta_{(h, x)} has index h |X| + x, and the matrix is the
+    direct sum of the point blocks.
     """
     sys = a.system
-    ng, nx = sys.group.order, sys.n_points
-    dim = ng * nx
+    nx = sys.n_points
+    dim = sys.group.order * nx
     out = np.zeros((dim, dim), dtype=complex)
-    for g in a.nonzero_groups:
-        f = a.coeffs[g]
-        for h in range(ng):
-            gh = sys.group.mul(g, h)
-            row_base = gh * nx
-            col_base = h * nx
-            for x in range(nx):
-                v = f.values[sys.act[gh][x]]
-                if not v.is_zero:
-                    out[row_base + x, col_base + x] += complex(v)
+    for x in range(nx):
+        out[x::nx, x::nx] = point_block(a, x)
     return out
 
 

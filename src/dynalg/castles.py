@@ -27,6 +27,10 @@ which make products of images factor through matrix products by
 bilinearity, so vanishing on the finite family extends to every
 orthogonal pair.  Complete positivity is certified by positivity of the
 Choi matrix in the faithful representation (absolute tolerance 1e-9).
+The representation never moves the point of the space, so the Choi
+matrix is a direct sum of one n|G| block per point, and the blocks of
+points in one orbit are unitarily equivalent; one block per orbit, at
+its least point, therefore decides positivity.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import CrossedElement, Func, NORM_TOL, operator_norm, regular_rep
+from .algebra import CrossedElement, Func, NORM_TOL, operator_norm, point_block
 from .comparison import Witness, search_subequivalence
 from .dynsys import DynSystem
 from .errors import (
@@ -312,9 +316,8 @@ class OrderZeroMap:
         return "OrderZeroMap(n=%d over %r)" % (self.n, self.system)
 
 
-def build_castle_ozm(data: CastleOzmData) -> OrderZeroMap:
-    """Assemble the map from castle data and verify its three properties."""
-    data.validate()
+def _assemble(data: CastleOzmData) -> OrderZeroMap:
+    """The map of already validated castle data, without verification."""
     sys = data.castle.system
     grp = sys.group
     n = data.n
@@ -333,7 +336,13 @@ def build_castle_ozm(data: CastleOzmData) -> OrderZeroMap:
                 coeff = psi.compose_action(grp.inv(si))
                 acc = acc + CrossedElement.monomial(coeff, g)
             images[(i, j)] = acc
-    phi = OrderZeroMap(sys, n, images)
+    return OrderZeroMap(sys, n, images)
+
+
+def build_castle_ozm(data: CastleOzmData) -> OrderZeroMap:
+    """Assemble the map from castle data and verify its three properties."""
+    data.validate()
+    phi = _assemble(data)
     if not verify_order_zero(phi):
         raise InvalidCastleData("assembled map fails the order-zero relations")
     if not verify_cpc(phi):
@@ -424,24 +433,32 @@ def verify_cpc(phi: OrderZeroMap, tol: float = NORM_TOL) -> bool:
 
     Adjoint symmetry phi(e_ij)* = phi(e_ji) is checked exactly first; it
     is necessary for positivity and keeps the Choi matrix hermitian up to
-    float error only.
+    float error only.  The representation never moves the point x, so the
+    Choi matrix [pi(phi(e_ij))]_ij is the direct sum over x of the blocks
+    [B_x(phi(e_ij))]_ij built from the |G| x |G| point blocks B_x; for
+    x' = s.x the unitary V delta_h = delta_{h s}, applied in each of the n
+    slots, makes the blocks at x and x' equivalent.  The hermitian and
+    eigenvalue tests therefore run on one n|G| block per orbit, at the
+    orbit's least point.
     """
     n = phi.n
     for i in range(n):
         for j in range(i, n):
             if phi.images[(i, j)].adjoint() != phi.images[(j, i)]:
                 return False
-    dim = phi.system.group.order * phi.system.n_points
-    choi = np.zeros((n * dim, n * dim), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            block = regular_rep(phi.images[(i, j)])
-            choi[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = block
-    if not np.allclose(choi, choi.conj().T, atol=tol):
-        return False
-    eigs = np.linalg.eigvalsh(choi)
-    if eigs.size and eigs.min() < -tol:
-        return False
+    ng = phi.system.group.order
+    for orbit in phi.system.orbit_partition:
+        x = orbit[0]
+        choi = np.zeros((n * ng, n * ng), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                block = point_block(phi.images[(i, j)], x)
+                choi[i * ng : (i + 1) * ng, j * ng : (j + 1) * ng] = block
+        if not np.allclose(choi, choi.conj().T, atol=tol):
+            return False
+        eigs = np.linalg.eigvalsh(choi)
+        if eigs.size and eigs.min() < -tol:
+            return False
     return operator_norm(phi.unit_image()).value <= 1 + tol
 
 
@@ -460,7 +477,8 @@ def decompose_ozm(phi: OrderZeroMap) -> CastleOzmData:
     have pairwise disjoint supports; partitioning the support of
     phi(e_11) by the induced (group-vector, value) profile produces the
     tower bases, weights, and phases.  The rebuilt map is compared to phi
-    exactly before returning.
+    exactly before returning; phi has passed the three verifiers, so the
+    rebuilt map is not verified again.
     """
     sys = phi.system
     if not sys.is_free:
@@ -542,8 +560,8 @@ def decompose_ozm(phi: OrderZeroMap) -> CastleOzmData:
     data = CastleOzmData(
         castle=castle, weights=tuple(weights), phases=tuple(phases), n=n
     )
-    rebuilt = build_castle_ozm(data)
-    if rebuilt != phi:
+    data.validate()
+    if _assemble(data) != phi:
         raise InvariantViolation("rebuilt map differs from the input")
     return data
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys as _sys
 import time
@@ -333,14 +334,28 @@ def ozm_payload(phi: OrderZeroMap):
 
 
 def parse_tzs_instance(sys_obj: DynSystem, payload, float_mode=False) -> TzsInstance:
+    """The instance; TzsInstance's own ValueError (epsilon <= 0, n < 1,
+    zero h) is reported as a ParseError like any other bad field."""
     try:
-        n = int(payload["n"])
-        eps = parse_fraction(payload["epsilon"])
-        F = tuple(parse_element(sys_obj, e, float_mode) for e in payload["F"])
-        h = parse_func(sys_obj, payload["h"], float_mode)
+        return TzsInstance(
+            n=int(payload["n"]),
+            epsilon=parse_fraction(payload["epsilon"]),
+            F=tuple(parse_element(sys_obj, e, float_mode) for e in payload["F"]),
+            h=parse_func(sys_obj, payload["h"], float_mode),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("bad instance payload: %s" % exc)
-    return TzsInstance(n=n, epsilon=eps, F=F, h=h)
+
+
+def parse_certificate(sys_obj: DynSystem, payload, float_mode=False):
+    """(epsilon, delta, t) from a certificate written by witness compile."""
+    try:
+        eps = parse_fraction(payload["epsilon"])
+        delta = parse_fraction(payload["delta"])
+        t = parse_matrix(sys_obj, payload["t"], float_mode)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ParseError("bad certificate payload: %s" % exc)
+    return eps, delta, t
 
 
 # -- report plumbing -------------------------------------------------------
@@ -381,6 +396,15 @@ def _emit(report, args) -> int:
 def _check_max_n(args) -> None:
     if args.max_n < 0:
         raise ParseError("--max-n must be nonnegative, got %d" % args.max_n)
+
+
+def _check_tolerance_and_budget(args) -> None:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ParseError(
+            "--tolerance must be finite and nonnegative, got %r" % args.tolerance
+        )
+    if args.budget < 0:
+        raise ParseError("--budget must be nonnegative, got %d" % args.budget)
 
 
 def cmd_system_check(args) -> int:
@@ -451,10 +475,9 @@ def cmd_witness(args) -> int:
     if args.verb == "extract":
         if not args.certificate:
             raise ParseError("witness extract needs --certificate")
-        cert_payload = _load_json(args.certificate)
-        eps = parse_fraction(cert_payload["epsilon"])
-        delta = parse_fraction(cert_payload["delta"])
-        t = parse_matrix(sys_obj, cert_payload["t"], args.float_mode)
+        eps, delta, t = parse_certificate(
+            sys_obj, _load_json(args.certificate), args.float_mode
+        )
         w = extract_witness(a, b, eps, delta, t)
         certificates["witness"] = witness_payload(sys_obj, w)
         result = {"extracted": True}
@@ -661,6 +684,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_tolerance_and_budget(args)
         return args.handler(args)
     except DynalgError as exc:
         print(

@@ -155,10 +155,15 @@ def search_subequivalence(
     target) pair whose tagged image is still unused.  Each pick spends
     one point and one tagged target of the same orbit, so the counts keep
     fitting and a pick always exists; no choice is ever revised, so the
-    result is the least witness in that order.
+    result is the least witness in that order.  A point outside
+    range(n_points) in F or V raises IndexOutOfRange.
     """
     F = [frozenset(s) for s in F]
     V = [frozenset(s) for s in V]
+    for s in F + V:
+        for x in s:
+            if not 0 <= x < sys.n_points:
+                raise IndexOutOfRange("point index %d out of range" % x)
     need, supply = _orbit_counts(sys, F), _orbit_counts(sys, V)
     if any(n > s for n, s in zip(need, supply)):
         return None

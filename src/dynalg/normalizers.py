@@ -1,13 +1,20 @@
 """Normalizer predicates for the pair C(X) inside the crossed product.
 
 An element a normalizes the diagonal when a*Da + aDa* stays diagonal; the
-one-sided versions keep only one of the two conditions.  All predicates
-are decided exactly over the indicator basis of C(X), which suffices by
-linearity.  For free actions the one-sided condition is equivalent to the
-coefficient supports being pairwise disjoint, and the matrix version has
-an entrywise criterion, a per-row support criterion, and a reduction to a
-single element over the product-with-cyclic system; the implementations
-are kept separate so tests can demand agreement.
+one-sided versions keep only one of the two conditions.  By linearity it
+suffices to test the point indicators chi_x, and those products have a
+closed form in the coefficients: the u_k coefficient of b* chi_x c is
+
+    sum_h conj(b_h(x)) c_{hk}(x) chi_{h^{-1} x},
+
+so a is an r-normalizer exactly when, for every point x, these sums
+vanish for every k != e and every point.  The predicates evaluate the
+sums directly, with no crossed products.  For free actions the one-sided
+condition is equivalent to the coefficient supports being pairwise
+disjoint, and the matrix version has an entrywise criterion, a per-row
+support criterion, and a reduction to a single element over the
+product-with-cyclic system; the implementations are kept separate so
+tests can demand agreement.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import CrossedElement, Func, MatrixElement, to_product_element
+from .algebra import CrossedElement, MatrixElement, Scalar, to_product_element
 from .dynsys import DynSystem
 from .errors import HypothesisViolated, InvariantViolation, NotFree
 
@@ -33,18 +40,62 @@ __all__ = [
 ]
 
 
-def _indicator_elements(sys: DynSystem):
-    for x in range(sys.n_points):
-        yield CrossedElement.from_func(Func.indicator(sys, (x,)))
+def _point_product_vanishes(
+    b: CrossedElement, c: CrossedElement, x: int, diagonal_allowed: bool
+) -> bool:
+    """Whether b* chi_x c vanishes (or, with ``diagonal_allowed``, lies in C(X)).
+
+    The term for h = g^{-1} and a group l of c is conj(b_h(x)) c_l(x) at
+    the point g.x on u_{gl}.  Terms are summed per (group, point) in the
+    order the product (b* chi_x) c sums them, acting element g ascending
+    and then l ascending, with the same zero shortcuts (a running
+    coefficient that is zero everywhere is replaced by the next term), so
+    RadicalAdditionMismatch is raised in exactly the same cases.  Sums are
+    keyed by point as well as group because on a non-free action several
+    terms can land on one point and cancel.
+    """
+    sys = b.system
+    grp = sys.group
+    acc: dict[int, dict[int, Scalar]] = {}
+    for g in range(grp.order):
+        bx = b.coeffs[grp.inv(g)].values[x]
+        if bx.is_zero:
+            continue
+        left = bx.conjugate()
+        y = sys.act[g][x]
+        for l in c.nonzero_groups:
+            cx = c.coeffs[l].values[x]
+            if cx.is_zero:
+                continue
+            term = left * cx
+            if term.is_zero:
+                continue
+            k = grp.mul(g, l)
+            row = acc.get(k)
+            if row is None or all(v.is_zero for v in row.values()):
+                acc[k] = {y: term}
+            else:
+                row[y] = row[y] + term if y in row else term
+    e = grp.identity
+    return all(
+        v.is_zero
+        for k, row in acc.items()
+        if not (diagonal_allowed and k == e)
+        for v in row.values()
+    )
 
 
 def is_r_normalizer(a: CrossedElement) -> bool:
-    """a*Da subset of D, checked over all point indicators."""
-    astar = a.adjoint()
-    for chi in _indicator_elements(a.system):
-        if not ((astar * chi) * a).in_diagonal:
-            return False
-    return True
+    """a*Da subset of D, decided from the coefficients.
+
+    For each point x the u_k coefficient of a* chi_x a is
+    sum_h conj(a_h(x)) a_{hk}(x) chi_{h^{-1} x}; a is an r-normalizer
+    exactly when every such sum with k != e vanishes at every point.
+    """
+    return all(
+        _point_product_vanishes(a, a, x, diagonal_allowed=True)
+        for x in range(a.system.n_points)
+    )
 
 
 def is_s_normalizer(a: CrossedElement) -> bool:
@@ -82,14 +133,15 @@ def _matrix_entrywise(x: MatrixElement) -> bool:
                 return False
     for k in range(n):
         for i in range(n):
-            if x.entries[k][i].is_zero:
+            left = x.entries[k][i]
+            if left.is_zero:
                 continue
-            left = x.entries[k][i].adjoint()
             for j in range(i + 1, n):
-                if x.entries[k][j].is_zero:
+                right = x.entries[k][j]
+                if right.is_zero:
                     continue
-                for chi in _indicator_elements(x.system):
-                    if not ((left * chi) * x.entries[k][j]).is_zero:
+                for p in range(x.system.n_points):
+                    if not _point_product_vanishes(left, right, p, diagonal_allowed=False):
                         return False
     return True
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from dynalg import (
     CrossedElement,
     DiagTuple,
@@ -14,6 +16,8 @@ from dynalg import (
     MatrixElement,
     RadScalar,
     Witness,
+    operator_norm,
+    validate_system,
 )
 
 VALUE_POOL = [
@@ -53,6 +57,17 @@ GROUP_BUILDERS = [
     lambda: FiniteGroup.cyclic(4),
     FiniteGroup.klein,
 ]
+
+
+def quotient_system() -> DynSystem:
+    """Z/4 acting through Z/2: odd elements swap 0<->1, point 2 is fixed."""
+    sys = DynSystem(
+        FiniteGroup.cyclic(4),
+        ("0", "1", "2"),
+        tuple((1, 0, 2) if g % 2 else (0, 1, 2) for g in range(4)),
+    )
+    validate_system(sys)
+    return sys
 
 
 def random_free_system(rng, max_group: int = 4, max_points: int = 8) -> DynSystem:
@@ -265,3 +280,73 @@ def standard_free_systems(max_points: int = 8, max_group: int = 4):
         k = DynSystem.translation(kl)
         out.append(DynSystem.disjoint_union(k, DynSystem.translation(kl)))
     return out
+
+
+# -- verifier oracles ----------------------------------------------------------
+
+
+def point_product(b: CrossedElement, c: CrossedElement, x: int) -> CrossedElement:
+    """b* chi_x c by crossed products."""
+    chi = CrossedElement.from_func(Func.indicator(b.system, (x,)))
+    return (b.adjoint() * chi) * c
+
+
+def indicator_r_normalizer(a: CrossedElement) -> bool:
+    """a*Da inside D, by crossed products against every point indicator."""
+    return all(point_product(a, a, x).in_diagonal for x in range(a.system.n_points))
+
+
+def indicator_matrix_entrywise(m: MatrixElement) -> bool:
+    """Each entry an r-normalizer and, within each row, x_ki* chi x_kj = 0
+    for i < j and every point indicator chi, by crossed products."""
+    n = m.n
+    if not all(indicator_r_normalizer(a) for row in m.entries for a in row):
+        return False
+    for row in m.entries:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if row[i].is_zero or row[j].is_zero:
+                    continue
+                for x in range(m.system.n_points):
+                    if not point_product(row[i], row[j], x).is_zero:
+                        return False
+    return True
+
+
+def dense_regular_rep(a: CrossedElement) -> np.ndarray:
+    """The representation entry by entry on the basis delta_(h, x), index
+    h |X| + x: pi(f u_g) delta_(h, x) = f(gh.x) delta_(gh, x)."""
+    sys = a.system
+    ng, nx = sys.group.order, sys.n_points
+    out = np.zeros((ng * nx, ng * nx), dtype=complex)
+    for g in a.nonzero_groups:
+        f = a.coeffs[g]
+        for h in range(ng):
+            gh = sys.group.mul(g, h)
+            for x in range(nx):
+                v = f.values[sys.act[gh][x]]
+                if not v.is_zero:
+                    out[gh * nx + x, h * nx + x] += complex(v)
+    return out
+
+
+def dense_verify_cpc(phi, tol: float = 1e-9) -> bool:
+    """Complete positivity from the full (n |G| |X|)-square Choi matrix,
+    contractivity from the norm of the unit image."""
+    n = phi.n
+    for i in range(n):
+        for j in range(i, n):
+            if phi.images[(i, j)].adjoint() != phi.images[(j, i)]:
+                return False
+    dim = phi.system.group.order * phi.system.n_points
+    choi = np.zeros((n * dim, n * dim), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            block = dense_regular_rep(phi.images[(i, j)])
+            choi[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = block
+    if not np.allclose(choi, choi.conj().T, atol=tol):
+        return False
+    eigs = np.linalg.eigvalsh(choi)
+    if eigs.size and eigs.min() < -tol:
+        return False
+    return operator_norm(phi.unit_image()).value <= 1 + tol

@@ -17,12 +17,19 @@ from dynalg import (
     open_support,
     operator_norm,
     orbit_block_decomposition,
+    point_block,
     pos_cutdown,
     regular_rep,
     to_product_element,
 )
 
-from _support import random_element, random_free_system, random_matrix
+from _support import (
+    dense_regular_rep,
+    quotient_system,
+    random_element,
+    random_free_system,
+    random_matrix,
+)
 
 
 def chi(sys, pts):
@@ -187,6 +194,23 @@ def test_rep_injective():
         a = random_element(rng, sys)
         if not a.is_zero:
             assert np.abs(regular_rep(a)).max() > 1e-12
+
+
+def test_rep_is_sum_of_equivalent_point_blocks(fixed_point_system):
+    """regular_rep equals the entry-by-entry oracle, and for x' = s.x the
+    block at x' is the block at x conjugated by delta_h -> delta_{hs}."""
+    rng = random.Random(6)
+    systems = [random_free_system(rng, max_points=6) for _ in range(15)]
+    systems += [fixed_point_system, quotient_system()] * 3
+    for sys in systems:
+        grp = sys.group
+        a = random_element(rng, sys)
+        assert np.array_equal(regular_rep(a), dense_regular_rep(a))
+        x = rng.randrange(sys.n_points)
+        s = rng.randrange(grp.order)
+        perm = [grp.mul(h, s) for h in range(grp.order)]
+        block = point_block(a, x)
+        assert np.array_equal(point_block(a, sys.act[s][x]), block[np.ix_(perm, perm)])
 
 
 # -- operator norm -----------------------------------------------------------

@@ -31,7 +31,12 @@ from dynalg import (
     verify_order_zero,
 )
 
-from _support import random_free_system
+from _support import (
+    dense_verify_cpc,
+    quotient_system,
+    random_element,
+    random_free_system,
+)
 
 PHASE_POOL = [RadScalar(1), RadScalar(-1), RadScalar(0, 1), RadScalar(0, -1)]
 WEIGHT_POOL = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]
@@ -259,6 +264,41 @@ def test_noncontractive_fails_cpc(z2):
         {(0, 0): CrossedElement.unit(z2).scaled(2)},
     )
     assert not verify_cpc(phi)
+
+
+def with_pair_negated(phi, rng):
+    """phi with the images of e_ij and e_ji negated for one random i <= j."""
+    i = rng.randrange(phi.n)
+    j = rng.randrange(i, phi.n)
+    images = dict(phi.images)
+    for key in {(i, j), (j, i)}:
+        images[key] = -images[key]
+    return OrderZeroMap(phi.system, phi.n, images)
+
+
+def test_verify_cpc_matches_dense_choi(fixed_point_system):
+    """One Choi block per orbit against the full Choi matrix: castle maps
+    on free systems, Gram maps b_i* b_j on non-free ones, and both with a
+    pair of images negated."""
+    rng = random.Random(52)
+    maps = []
+    while len(maps) < 30:
+        sys = random_free_system(rng, max_points=8)
+        data = random_castle_data(rng, sys, rng.randint(1, min(3, sys.group.order)))
+        if data is not None:
+            maps.append(build_castle_ozm(data))
+    for sys in (fixed_point_system, quotient_system()) * 8:
+        n = rng.randint(1, 3)
+        bs = [random_element(rng, sys, max_terms=2).scaled(Fraction(1, 4)) for _ in range(n)]
+        images = {(i, j): bs[i].adjoint() * bs[j] for i in range(n) for j in range(n)}
+        maps.append(OrderZeroMap(sys, n, images))
+    verdicts = set()
+    for phi in maps:
+        for psi in (phi, with_pair_negated(phi, rng)):
+            expected = dense_verify_cpc(psi)
+            assert verify_cpc(psi) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 # -- decomposition -------------------------------------------------------------------

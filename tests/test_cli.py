@@ -240,6 +240,31 @@ def test_witness_extract_corrupted(capsys, tmp_path, z3_file):
     assert json.loads(err)["error"] == "PreconditionFailed"
 
 
+def test_witness_extract_incomplete_certificate(capsys, tmp_path, z3_file):
+    code, out, _ = run_cli(
+        capsys,
+        [
+            "witness", "compile", "--system", z3_file,
+            "--a", "chi:0", "--b", "chi:1,2", "--epsilon", "1/2",
+        ],
+    )
+    cert = json.loads(out)["certificates"]["certificate"]
+    for field in ("epsilon", "delta", "t"):
+        partial = {k: v for k, v in cert.items() if k != field}
+        cert_path = tmp_path / ("no_%s.json" % field)
+        cert_path.write_text(json.dumps(partial))
+        code, out, err = run_cli(
+            capsys,
+            [
+                "witness", "extract", "--system", z3_file,
+                "--a", "chi:0", "--b", "chi:1,2",
+                "--certificate", str(cert_path),
+            ],
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+
 # -- castle commands -------------------------------------------------------------------
 
 
@@ -304,6 +329,25 @@ def test_castle_tzs_identity(capsys, tmp_path, z3_file):
     assert code == 0
     report = json.loads(out)
     assert report["result"]["all_pass"] is True
+
+
+def test_castle_tzs_invalid_instance(capsys, tmp_path, z3_file):
+    valid = {
+        "n": 3,
+        "epsilon": "1/10",
+        "F": [],
+        "h": [["0", "1"]],
+    }
+    for field, value in (("epsilon", "0"), ("epsilon", "-1/2"), ("n", 0), ("h", [])):
+        inst = dict(valid, **{field: value})
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(inst))
+        code, out, err = run_cli(
+            capsys,
+            ["castle", "tzs", "--system", z3_file, "--instance", str(path), "--identity"],
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
 
 
 # -- semigroup ---------------------------------------------------------------------------
@@ -434,3 +478,19 @@ def test_missing_required_file_args(capsys, z2_file):
         code, _, err = run_cli(capsys, argv)
         assert code == 1
         assert json.loads(err)["error"] == "ParseError"
+
+
+def test_bad_tolerance_and_budget_rejected(capsys, z2_file):
+    for flag, value in (
+        ("--tolerance", "-1"),
+        ("--tolerance", "nan"),
+        ("--tolerance", "inf"),
+        ("--budget", "-1"),
+    ):
+        code, out, err = run_cli(capsys, ["system-check", "--system", z2_file, flag, value])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+    code, out, _ = run_cli(
+        capsys, ["system-check", "--system", z2_file, "--tolerance", "0", "--budget", "0"]
+    )
+    assert code == 0 and json.loads(out)["params"]["tolerance"] == 0.0

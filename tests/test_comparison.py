@@ -26,12 +26,12 @@ from dynalg import (
     extreme_invariant_measures,
     search_subequivalence,
     type_semigroup,
-    validate_system,
 )
 
 from _support import (
     backtracking_subequivalence,
     brute_force_subequivalence,
+    quotient_system,
     random_diag_tuple,
     random_free_system,
     random_subsets,
@@ -120,15 +120,11 @@ def test_search_nonfree(fixed_point_system):
     assert search_subequivalence(fixed_point_system, [{0}], [{1}]) is not None
 
 
-def quotient_system():
-    """Z/4 acting through Z/2: odd elements swap 0<->1, point 2 is fixed."""
-    sys = DynSystem(
-        FiniteGroup.cyclic(4),
-        ("0", "1", "2"),
-        tuple((1, 0, 2) if g % 2 else (0, 1, 2) for g in range(4)),
-    )
-    validate_system(sys)
-    return sys
+def test_search_rejects_points_out_of_range(z3):
+    # a negative index would otherwise wrap onto the last point
+    for F, V in (([{-1}], [{2}]), ([{5}], [{0}]), ([{0}], [{1}, {3}])):
+        with pytest.raises(IndexOutOfRange):
+            search_subequivalence(z3, F, V)
 
 
 def test_search_matches_backtracking_oracle(fixed_point_system):

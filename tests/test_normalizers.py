@@ -1,15 +1,23 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from dynalg import (
     CrossedElement,
+    DynalgError,
+    DynSystem,
+    FiniteGroup,
+    FloatScalar,
     Func,
     HypothesisViolated,
     InvariantViolation,
     MatrixElement,
     NotFree,
+    RadicalAdditionMismatch,
     RadScalar,
+    as_scalar,
     check_normalizer_preserving,
     check_square_in_subalgebra,
     coefficient_supports_disjoint,
@@ -23,11 +31,37 @@ from dynalg import (
 )
 
 from _support import (
+    COEFF_POOL,
+    indicator_matrix_entrywise,
+    indicator_r_normalizer,
+    point_product,
+    quotient_system,
     random_disjoint_support_element,
     random_element,
     random_free_system,
+    random_func,
     random_matrix,
 )
+
+# sqrt(2), sqrt(3) and sqrt(6) terms: sums of unlike radicands are not exact
+RADICAL_POOL = COEFF_POOL + [
+    RadScalar(1, 0, 2),
+    RadScalar(0, 1, 3),
+    RadScalar(Fraction(1, 2), 0, 2),
+    RadScalar(1, 1, 3),
+    RadScalar(-1, 0, 6),
+]
+# float values around the 1e-9 zero tolerance, alone and in products,
+# and one exact value mixed in
+FLOAT_POOL = [
+    FloatScalar(1),
+    FloatScalar(-1),
+    FloatScalar(0.5j),
+    FloatScalar(4e-5),
+    FloatScalar(3e-5),
+    FloatScalar(6e-10),
+    RadScalar(1),
+]
 
 
 def chi(sys, pts):
@@ -36,6 +70,62 @@ def chi(sys, pts):
 
 def mono(sys, pts, g):
     return CrossedElement.monomial(chi(sys, pts), g)
+
+
+def outcome(fn, *args):
+    """The verdict, or the type of the toolkit error raised."""
+    try:
+        return fn(*args)
+    except DynalgError as exc:
+        return type(exc)
+
+
+def pooled_element(rng, sys, pool, density=0.5):
+    """An element with coefficients drawn from ``pool`` (no sums needed)."""
+    coeffs = [
+        random_func(rng, sys, density, pool) if rng.random() < 0.6 else Func.zero(sys)
+        for _ in range(sys.group.order)
+    ]
+    return CrossedElement(sys, coeffs)
+
+
+REAL_RADICALS = [RadScalar(1), RadScalar(-1), RadScalar(Fraction(1, 2)), RadScalar(1, 0, 2), RadScalar(1, 0, 3)]
+
+
+def matrix_entry(rng, sys, pool):
+    """Zero, a monomial, a random element or, on a non-free system, p u_e +
+    i q u_g at a point fixed by an involution g: an r-normalizer with two
+    coefficients there, whose cross terms with other entries can collide."""
+    r = rng.random()
+    if r < 0.2:
+        return CrossedElement.zero(sys)
+    if r < 0.5:
+        return CrossedElement.monomial(random_func(rng, sys, 0.5, pool), rng.randrange(sys.group.order))
+    grp = sys.group
+    fixed = [
+        (x, g)
+        for g in range(grp.order)
+        if g != grp.identity and grp.mul(g, g) == grp.identity
+        for x in range(sys.n_points)
+        if sys.act[g][x] == x
+    ]
+    if r < 0.7 or not fixed:
+        return pooled_element(rng, sys, pool, 0.4)
+    x, g = rng.choice(fixed)
+    p, q = rng.choice(REAL_RADICALS), rng.choice(REAL_RADICALS)
+    return CrossedElement.monomial(Func.from_dict(sys, {x: p}), grp.identity) + \
+        CrossedElement.monomial(Func.from_dict(sys, {x: RadScalar(0, 1) * q}), g)
+
+
+def one_point_system():
+    """Z/4 acting trivially on one point: every term of a coefficient of
+    b* chi c lands on the same point."""
+    return DynSystem(FiniteGroup.cyclic(4), ("p",), ((0,),) * 4)
+
+
+def oracle_systems(rng, fixed_point_system, count):
+    systems = [random_free_system(rng, max_points=6) for _ in range(count)]
+    return systems + [fixed_point_system, quotient_system()] * (count // 4)
 
 
 # -- two-sided predicate -----------------------------------------------------
@@ -69,6 +159,98 @@ def test_nondegenerate_square_example(z3, double_swap):
     a = mono(double_swap, {0}, 0) + mono(double_swap, {0}, 1)
     assert not check_square_in_subalgebra(a)
     assert not is_r_normalizer(a)
+
+
+def test_r_normalizer_matches_indicator_oracle(fixed_point_system):
+    """Closed form against crossed products: same verdicts, same errors."""
+    rng = random.Random(25)
+    seen = set()
+    for sys in oracle_systems(rng, fixed_point_system, 24):
+        for pool in (COEFF_POOL, RADICAL_POOL, FLOAT_POOL):
+            for _ in range(8):
+                a = pooled_element(rng, sys, pool)
+                expected = outcome(indicator_r_normalizer, a)
+                assert outcome(is_r_normalizer, a) == expected
+                assert outcome(is_s_normalizer, a) == outcome(
+                    indicator_r_normalizer, a.adjoint()
+                )
+                seen.add(expected)
+    assert seen == {True, False, RadicalAdditionMismatch}
+
+
+def test_r_normalizer_one_point_sums_match_oracle():
+    """All four terms of a coefficient share one key, so exact sums cancel
+    or meet unlike radicands there.  In floats, a partial sum that cancels
+    to below the tolerance is dropped by the product (Func addition
+    returns the next term), so u_0 + u_1 - u_2 + (1 - 6e-10) u_3 is an
+    r-normalizer."""
+    sys = one_point_system()
+    exact = [RadScalar(1), RadScalar(-1), RadScalar(1, 0, 2), RadScalar(-1, 0, 2), RadScalar(1, 0, 3)]
+    floats = [FloatScalar(v) for v in (1.0, -1.0, 1 - 6e-10, -1 + 6e-10)]
+    seen = set()
+    for values in (exact, floats):
+        for cs in itertools.product(values, repeat=4):
+            a = CrossedElement(sys, [Func(sys, (c,)) for c in cs])
+            expected = outcome(indicator_r_normalizer, a)
+            assert outcome(is_r_normalizer, a) == expected
+            seen.add(expected)
+    assert seen == {True, False, RadicalAdditionMismatch}
+
+
+def test_point_product_matches_crossed_products(fixed_point_system):
+    """The shared helper against b* chi_x c by crossed products, b != c.
+
+    With three or more terms on one key the summation order decides
+    whether unlike radicands meet.  Random pairs rarely show it, so two
+    one-point cases pin it: in the product's order the first gives False
+    and the second raises, and in the reverse order it is the other way
+    round."""
+    from dynalg.normalizers import _point_product_vanishes
+
+    one_point = one_point_system()
+
+    def element(*values):
+        return CrossedElement(one_point, [Func(one_point, (as_scalar(v),)) for v in values])
+
+    def by_products(b, c, x, diagonal_allowed):
+        product = point_product(b, c, x)
+        return product.in_diagonal if diagonal_allowed else product.is_zero
+
+    r2, r3, i = RadScalar(1, 0, 2), RadScalar(1, 0, 3), RadScalar(0, 1)
+    pinned = [
+        (element(r3, -1, i * r2, 0), element(r3, 0, i * r2, 1), False),
+        (element(0, 1, -1, r2), element(i, i, i, i), RadicalAdditionMismatch),
+    ]
+    for b, c, expected in pinned:
+        for diagonal_allowed in (False, True):
+            assert outcome(by_products, b, c, 0, diagonal_allowed) == expected
+            assert outcome(_point_product_vanishes, b, c, 0, diagonal_allowed) == expected
+    rng = random.Random(27)
+    pool = RADICAL_POOL + [RadScalar(0, 1, 2)]
+    for sys in (one_point, fixed_point_system, quotient_system()):
+        for _ in range(800):
+            b = pooled_element(rng, sys, pool, 0.8)
+            c = pooled_element(rng, sys, pool, 0.8)
+            x = rng.randrange(sys.n_points)
+            for diagonal_allowed in (False, True):
+                assert outcome(_point_product_vanishes, b, c, x, diagonal_allowed) == \
+                    outcome(by_products, b, c, x, diagonal_allowed)
+
+
+def test_matrix_entrywise_matches_indicator_oracle(fixed_point_system):
+    rng = random.Random(26)
+    seen = set()
+    for sys in oracle_systems(rng, fixed_point_system, 12):
+        for pool in (COEFF_POOL, RADICAL_POOL, FLOAT_POOL):
+            for _ in range(4):
+                n = rng.randint(1, 3)
+                m = MatrixElement(sys, [
+                    [matrix_entry(rng, sys, pool) for _ in range(n)] for _ in range(n)
+                ])
+                expected = outcome(indicator_matrix_entrywise, m)
+                assert outcome(matrix_is_r_normalizer, m, "entrywise") == expected
+                seen.add(expected)
+    assert seen == {True, False, RadicalAdditionMismatch}
 
 
 # -- support characterization -------------------------------------------------
