@@ -19,10 +19,20 @@ representation in floating point with absolute tolerance ``1e-9``:
     pi(f u_g) delta_{(h, x)} = f((g h).x) delta_{(g h, x)}
 
 on the basis indexed by pairs (h in G, x in X).
+
+Storage is sparse.  A :class:`Func` keeps a dict from point to value that
+omits exactly the points whose value is an exact zero, so sums, products,
+translates, comparisons and supports cost the number of nonzero points,
+and a crossed-product coefficient that vanishes stores nothing.  Only
+exact zeros are dropped: a :class:`FloatScalar` is stored even when it is
+within tolerance of zero, because ``v + 0`` can differ from ``v`` in the
+sign of a float zero, and float-mode results must stay bit-identical to a
+pass over every point.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,8 +41,8 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .dynsys import DynSystem
-from .errors import NotFree, NotPositive, SystemMismatch
-from .scalars import FloatScalar, RadScalar, as_scalar
+from .errors import NotFree, NotPositive, RadicalAdditionMismatch, SystemMismatch
+from .scalars import ONE, ZERO, FloatScalar, RadScalar, as_scalar
 
 __all__ = [
     "Func",
@@ -56,58 +66,97 @@ NORM_TOL = 1e-9
 Scalar = Union[RadScalar, FloatScalar]
 
 
+def _exact_zero(v) -> bool:
+    return type(v) is RadScalar and not v.re and not v.im
+
+
 class Func:
-    """An element of C(X): one scalar value per point of the space."""
+    """An element of C(X), stored by its nonzero points.
+
+    ``sparse`` maps a point to its value and omits exactly the points
+    whose value is an exact RadScalar zero, so exact arithmetic neither
+    stores nor tests zeros.  A FloatScalar is always stored, even within
+    the float tolerance of zero: an absent point reads as the exact zero,
+    and ``v + 0`` can differ from ``v`` in the sign of a float zero, so
+    float results stay bit-identical to a pass over every point.
+    ``values`` is the dense tuple, one value per point, built on first use.
+    """
 
     def __init__(self, system: DynSystem, values: Sequence[Scalar]):
         if len(values) != system.n_points:
             raise ValueError("expected %d values, got %d" % (system.n_points, len(values)))
         self.system = system
-        self.values = tuple(values)
+        self.sparse = {x: v for x, v in enumerate(values) if not _exact_zero(v)}
+
+    @classmethod
+    def _of(cls, system: DynSystem, sparse: dict) -> "Func":
+        """A Func from a point -> value dict that holds no exact zero."""
+        f = cls.__new__(cls)
+        f.system = system
+        f.sparse = sparse
+        return f
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, system: DynSystem) -> "Func":
-        z = RadScalar.zero()
-        return cls(system, (z,) * system.n_points)
+        return cls._of(system, {})
 
     @classmethod
     def one(cls, system: DynSystem) -> "Func":
-        o = RadScalar.one()
-        return cls(system, (o,) * system.n_points)
+        return cls._of(system, dict.fromkeys(range(system.n_points), ONE))
 
     @classmethod
     def indicator(cls, system: DynSystem, points: Iterable[int]) -> "Func":
         pts = set(points)
-        o, z = RadScalar.one(), RadScalar.zero()
-        return cls(system, tuple(o if x in pts else z for x in range(system.n_points)))
+        return cls._of(system, {x: ONE for x in range(system.n_points) if x in pts})
 
     @classmethod
     def from_dict(cls, system: DynSystem, entries: dict) -> "Func":
-        z = RadScalar.zero()
-        vals = [z] * system.n_points
+        points = range(system.n_points)
+        sparse = {}
         for x, v in entries.items():
-            vals[x] = as_scalar(v)
-        return cls(system, vals)
+            x = points[x]  # a negative index counts from the end; past it raises
+            v = as_scalar(v)
+            if _exact_zero(v):
+                sparse.pop(x, None)
+            else:
+                sparse[x] = v
+        return cls._of(system, sparse)
 
     # -- structure -----------------------------------------------------
 
     @cached_property
+    def values(self) -> tuple:
+        get = self.sparse.get
+        return tuple(get(x, ZERO) for x in range(self.system.n_points))
+
+    @cached_property
     def support(self) -> frozenset:
-        return frozenset(x for x, v in enumerate(self.values) if not v.is_zero)
+        # Inserted in point order: where entries collide, a set iterates in
+        # insertion order, and cutdown and sqrt raise at the first point
+        # they meet, which must not depend on how the dict was built.
+        return frozenset(x for x in sorted(self.sparse) if not self.sparse[x].is_zero)
 
     @property
     def is_zero(self) -> bool:
-        return not self.support
+        for v in self.sparse.values():
+            if not v.is_zero:
+                return False
+        return True
 
     @cached_property
     def is_positive(self) -> bool:
         """True when every value is real and >= 0."""
-        return all(v.is_nonneg_real for v in self.values)
+        return all(v.is_nonneg_real for v in self.sparse.values())
 
     def __call__(self, x: int) -> Scalar:
-        return self.values[x]
+        v = self.sparse.get(x)
+        if v is not None:
+            return v
+        if 0 <= x < self.system.n_points:
+            return ZERO
+        return self.values[x]  # a negative index counts from the end; past it raises
 
     # -- arithmetic ------------------------------------------------------
 
@@ -115,57 +164,71 @@ class Func:
         if self.system is not other.system:
             raise SystemMismatch("functions over different systems")
 
+    def _pointwise(self, other: "Func", op) -> "Func":
+        """op at every point stored on either side (an absent side reads as
+        the exact zero); a mismatch is raised at the least point, where a
+        pass in point order meets it first."""
+        a, b = self.sparse, other.sparse
+        out = {}
+        try:
+            for x in a.keys() | b.keys():
+                v = op(a.get(x, ZERO), b.get(x, ZERO))
+                if not _exact_zero(v):
+                    out[x] = v
+        except RadicalAdditionMismatch:
+            for x in sorted(a.keys() & b.keys()):
+                op(a[x], b[x])
+            raise
+        return Func._of(self.system, out)
+
     def __add__(self, other: "Func") -> "Func":
         self._check(other)
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        return Func(self.system, tuple(a + b for a, b in zip(self.values, other.values)))
+        return self._pointwise(other, operator.add)
 
     def __sub__(self, other: "Func") -> "Func":
         self._check(other)
-        return Func(self.system, tuple(a - b for a, b in zip(self.values, other.values)))
+        return self._pointwise(other, operator.sub)
 
     def __neg__(self) -> "Func":
-        return Func(self.system, tuple(-v for v in self.values))
+        return Func._of(self.system, {x: -v for x, v in self.sparse.items()})
 
     def __mul__(self, other):
         if isinstance(other, Func):
             self._check(other)
-            common = self.support & other.support
-            if not common:
-                return Func.zero(self.system)
-            z = RadScalar.zero()
-            vals = [z] * self.system.n_points
-            for x in common:
-                vals[x] = self.values[x] * other.values[x]
-            return Func(self.system, vals)
+            b = other.sparse
+            return Func._of(
+                self.system,
+                {
+                    x: v * b[x]
+                    for x, v in self.sparse.items()
+                    if x in b and not v.is_zero and not b[x].is_zero
+                },
+            )
         return self.scaled(other)
 
     def scaled(self, scalar) -> "Func":
         s = as_scalar(scalar)
         if s.is_zero:
             return Func.zero(self.system)
-        z = RadScalar.zero()
-        vals = [z] * self.system.n_points
-        for x in self.support:
-            vals[x] = self.values[x] * s
-        return Func(self.system, vals)
+        return Func._of(
+            self.system, {x: v * s for x, v in self.sparse.items() if not v.is_zero}
+        )
 
     def conj(self) -> "Func":
-        return Func(self.system, tuple(v.conjugate() for v in self.values))
+        return Func._of(self.system, {x: v.conjugate() for x, v in self.sparse.items()})
 
     def compose_action(self, g: int) -> "Func":
-        """The function x -> f(g.x)."""
-        act = self.system.act[g]
-        return Func(self.system, tuple(self.values[act[x]] for x in range(self.system.n_points)))
+        """The function x -> f(g.x), re-keyed through the inverse permutation."""
+        back = self.system.act[self.system.group.inv(g)]
+        return Func._of(self.system, {back[y]: v for y, v in self.sparse.items()})
 
     def restrict(self, points: Iterable[int]) -> "Func":
         pts = set(points)
-        z = RadScalar.zero()
-        vals = [self.values[x] if x in pts else z for x in range(self.system.n_points)]
-        return Func(self.system, vals)
+        return Func._of(self.system, {x: v for x, v in self.sparse.items() if x in pts})
 
     def cutdown(self, eps) -> "Func":
         """Pointwise max(f(x) - eps, 0); requires f positive, eps >= 0 rational."""
@@ -176,52 +239,52 @@ class Func:
             raise NotPositive("cutdown of a non-positive function")
         if eps == 0:
             return self
-        z = RadScalar.zero()
-        vals = [z] * self.system.n_points
+        cut = RadScalar(eps)
+        out = {}
         for x in self.support:
-            v = self.values[x]
-            if v.real_cmp(RadScalar(eps)) > 0:
-                vals[x] = v - RadScalar(eps)
-        return Func(self.system, vals)
+            v = self.sparse[x]
+            if v.real_cmp(cut) > 0:
+                out[x] = v - cut
+        return Func._of(self.system, out)
 
     def sqrt(self) -> "Func":
         if not self.is_positive:
             raise NotPositive("square root of a non-positive function")
-        z = RadScalar.zero()
-        vals = [z] * self.system.n_points
-        for x in self.support:
-            vals[x] = self.values[x].sqrt()
-        return Func(self.system, vals)
+        return Func._of(self.system, {x: self.sparse[x].sqrt() for x in self.support})
 
     def sup_le_one(self) -> bool:
         """Exact check that every value has modulus at most one."""
         return all(
             v.abs_sq() <= 1 if isinstance(v, RadScalar) else abs(complex(v)) <= 1 + NORM_TOL
-            for v in self.values
+            for v in self.sparse.values()
         )
 
     def max_value(self) -> Scalar:
         """Maximum of a positive function (zero for the zero function)."""
         if not self.is_positive:
             raise NotPositive("max of a non-positive function")
-        best = RadScalar.zero()
+        best = ZERO
         for x in self.support:
-            if self.values[x].real_cmp(best) > 0:
-                best = self.values[x]
+            if self.sparse[x].real_cmp(best) > 0:
+                best = self.sparse[x]
         return best
 
     def __eq__(self, other):
         if not isinstance(other, Func):
             return NotImplemented
-        return self.system is other.system and all(
-            a == b for a, b in zip(self.values, other.values)
-        )
+        if self.system is not other.system:
+            return False
+        a, b = self.sparse, other.sparse
+        if a.keys() == b.keys():
+            return all(v == b[x] for x, v in a.items())
+        # An absent point still equals a stored float within tolerance of zero.
+        return all(a.get(x, ZERO) == b.get(x, ZERO) for x in a.keys() | b.keys())
 
     __hash__ = None
 
     def __repr__(self):
         parts = ", ".join(
-            "%s: %s" % (self.system.points[x], self.values[x]) for x in sorted(self.support)
+            "%s: %s" % (self.system.points[x], self.sparse[x]) for x in sorted(self.support)
         )
         return "Func{%s}" % parts
 
@@ -309,19 +372,27 @@ class CrossedElement:
 
     def __mul__(self, other: "CrossedElement") -> "CrossedElement":
         self._check(other)
-        grp = self.system.group
+        sys = self.system
+        grp = sys.group
         acc: list[Optional[Func]] = [None] * grp.order
+        right = [(h, other.coeffs[h].sparse) for h in other.nonzero_groups]
         for g in self.nonzero_groups:
-            ag = self.coeffs[g]
-            ginv = grp.inv(g)
-            for h in other.nonzero_groups:
-                term = ag * other.coeffs[h].compose_action(ginv)
+            # a_g u_g b_h u_h = a_g (b_h . alpha_{g^{-1}}) u_{gh}, read off pointwise
+            left = [(x, v) for x, v in self.coeffs[g].sparse.items() if not v.is_zero]
+            back = sys.act[grp.inv(g)]
+            for h, b in right:
+                term = {}
+                for x, v in left:
+                    w = b.get(back[x])
+                    if w is not None and not w.is_zero:
+                        term[x] = v * w
+                term = Func._of(sys, term)
                 if term.is_zero:
                     continue
                 k = grp.mul(g, h)
                 acc[k] = term if acc[k] is None else acc[k] + term
-        z = Func.zero(self.system)
-        return CrossedElement(self.system, tuple(c if c is not None else z for c in acc))
+        z = Func.zero(sys)
+        return CrossedElement(sys, tuple(c if c is not None else z for c in acc))
 
     def adjoint(self) -> "CrossedElement":
         grp = self.system.group
@@ -582,11 +653,11 @@ def point_block(a: CrossedElement, x: int) -> np.ndarray:
     grp = sys.group
     out = np.zeros((grp.order, grp.order), dtype=complex)
     for g in a.nonzero_groups:
-        values = a.coeffs[g].values
+        f = a.coeffs[g].sparse
         for h in range(grp.order):
             gh = grp.mul(g, h)
-            v = values[sys.act[gh][x]]
-            if not v.is_zero:
+            v = f.get(sys.act[gh][x])
+            if v is not None and not v.is_zero:
                 out[gh, h] = complex(v)
     return out
 
@@ -725,13 +796,12 @@ def orbit_block_decomposition(a: CrossedElement) -> list[OrbitBlock]:
     blocks = []
     for orbit in sys.orbit_partition:
         trans = _orbit_transporters(sys, orbit)
-        z = RadScalar.zero()
         rows = []
         for y in orbit:
             row = []
             for x in orbit:
                 g = trans[(x, y)]
-                row.append(a.coeffs[g].values[y] if g in a.nonzero_groups else z)
+                row.append(a.coeffs[g](y) if g in a.nonzero_groups else ZERO)
             rows.append(tuple(row))
         blocks.append(OrbitBlock(orbit, tuple(rows)))
     return blocks
@@ -780,19 +850,17 @@ def to_product_element(
     if product is None:
         product = product_with_cyclic(sys, n)
     ng, nx = sys.group.order, sys.n_points
-    z = RadScalar.zero()
-    coeff_values: dict[int, list] = {}
+    coeff_values: dict[int, dict] = {}
     for i in range(n):
         for j in range(n):
             entry = x.entries[i][j]
             d = (i - j) % n
             for g in entry.nonzero_groups:
-                pg = d * ng + g
-                vals = coeff_values.setdefault(pg, [z] * (n * nx))
+                vals = coeff_values.setdefault(d * ng + g, {})
                 f = entry.coeffs[g]
                 for p in f.support:
-                    vals[i * nx + p] = f.values[p]
+                    vals[i * nx + p] = f.sparse[p]
     coeffs = [Func.zero(product)] * product.group.order
     for pg, vals in coeff_values.items():
-        coeffs[pg] = Func(product, vals)
+        coeffs[pg] = Func._of(product, vals)
     return product, CrossedElement(product, coeffs)

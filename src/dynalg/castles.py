@@ -245,7 +245,7 @@ class CastleOzmData:
                 if theta.support != f.support:
                     raise InvalidCastleData("phase not carried by the weight support")
                 for x in f.support:
-                    if not theta.values[x].is_unit_modulus():
+                    if not theta(x).is_unit_modulus():
                         raise InvalidCastleData("phase value is not unit modulus")
 
     @classmethod
@@ -502,7 +502,7 @@ def decompose_ozm(phi: OrderZeroMap) -> CastleOzmData:
     for i in range(n):
         for j in range(n):
             for f in phi.images[(i, j)].coeffs:
-                for v in f.values:
+                for _, v in sorted(f.sparse.items()):
                     if not isinstance(v, RadScalar):
                         raise ExactnessError(
                             "decomposition needs exact scalars, found %r" % (v,)
@@ -520,18 +520,18 @@ def decompose_ozm(phi: OrderZeroMap) -> CastleOzmData:
     for x in sorted(f0.support):
         svec = []
         for i in range(n):
-            hits = [g for g in range(grp.order) if not h[i][g].values[x].is_zero]
+            hits = [g for g in range(grp.order) if not h[i][g](x).is_zero]
             if len(hits) != 1:
                 raise NotOrderZero(
                     "point %d sees %d coefficients in row %d" % (x, len(hits), i)
                 )
             g = hits[0]
-            if h[i][g].values[x].modulus() != f0.values[x]:
+            if h[i][g](x).modulus() != f0(x):
                 raise NotOrderZero("coefficient modulus differs from the weight")
             svec.append(g)
         if svec[0] != grp.identity:
             raise NotOrderZero("phi(e_11) carries a nontrivial group element")
-        profile[x] = (tuple(svec), f0.values[x])
+        profile[x] = (tuple(svec), f0(x))
 
     # Towers: group points by profile, ordered by least member point.
     groups: dict[tuple, set] = {}
@@ -550,7 +550,7 @@ def decompose_ozm(phi: OrderZeroMap) -> CastleOzmData:
         for i in range(n):
             vals = {}
             for x in pts:
-                vals[x] = f0.values[x] / h[i][svec[i]].values[x]
+                vals[x] = f0(x) / h[i][svec[i]](x)
             row.append(Func.from_dict(sys, vals))
         phases.append(tuple(row))
 

@@ -178,7 +178,7 @@ def parse_func(sys_obj: DynSystem, payload, float_mode: bool = False) -> Func:
 
 
 def func_payload(f: Func):
-    return [[f.system.points[x], format_scalar(f.values[x])] for x in sorted(f.support)]
+    return [[f.system.points[x], format_scalar(f(x))] for x in sorted(f.support)]
 
 
 def parse_element(sys_obj: DynSystem, payload, float_mode: bool = False) -> CrossedElement:
@@ -302,15 +302,17 @@ def parse_ozm_data(sys_obj: DynSystem, payload, float_mode=False) -> CastleOzmDa
     try:
         n = int(payload["n"])
         weights = tuple(parse_func(sys_obj, w, float_mode) for w in payload["weights"])
+        phases = None
+        if "phases" in payload:
+            phases = tuple(
+                tuple(parse_func(sys_obj, th, float_mode) for th in row)
+                for row in payload["phases"]
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("bad castle data payload: %s" % exc)
-    if "phases" in payload:
-        phases = tuple(
-            tuple(parse_func(sys_obj, th, float_mode) for th in row)
-            for row in payload["phases"]
-        )
-        return CastleOzmData(castle=castle, weights=weights, phases=phases, n=n)
-    return CastleOzmData.with_trivial_phases(castle, weights, n)
+    if phases is None:
+        return CastleOzmData.with_trivial_phases(castle, weights, n)
+    return CastleOzmData(castle=castle, weights=weights, phases=phases, n=n)
 
 
 def ozm_data_payload(data: CastleOzmData):

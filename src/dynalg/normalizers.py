@@ -58,14 +58,14 @@ def _point_product_vanishes(
     grp = sys.group
     acc: dict[int, dict[int, Scalar]] = {}
     for g in range(grp.order):
-        bx = b.coeffs[grp.inv(g)].values[x]
-        if bx.is_zero:
+        bx = b.coeffs[grp.inv(g)].sparse.get(x)
+        if bx is None or bx.is_zero:
             continue
         left = bx.conjugate()
         y = sys.act[g][x]
         for l in c.nonzero_groups:
-            cx = c.coeffs[l].values[x]
-            if cx.is_zero:
+            cx = c.coeffs[l].sparse.get(x)
+            if cx is None or cx.is_zero:
                 continue
             term = left * cx
             if term.is_zero:

@@ -13,6 +13,7 @@ or by working with :class:`FloatScalar` values throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import ExactnessError, RadicalAdditionMismatch
 
@@ -65,11 +66,11 @@ class RadScalar:
 
     @classmethod
     def zero(cls) -> "RadScalar":
-        return cls(0)
+        return ZERO
 
     @classmethod
     def one(cls) -> "RadScalar":
-        return cls(1)
+        return ONE
 
     @classmethod
     def i(cls) -> "RadScalar":
@@ -89,7 +90,7 @@ class RadScalar:
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     @property
     def is_real(self) -> bool:
@@ -132,25 +133,28 @@ class RadScalar:
         return None
 
     def __add__(self, other):
-        if isinstance(other, FloatScalar):
-            return FloatScalar(complex(self) + other.value)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero:
+        if type(other) is not RadScalar:
+            if isinstance(other, FloatScalar):
+                return FloatScalar(complex(self) + other.value)
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not self.re and not self.im:
             return other
-        if other.is_zero:
+        if not other.re and not other.im:
             return self
         if self.rad != other.rad:
             raise RadicalAdditionMismatch(
                 "cannot add sqrt(%d) and sqrt(%d) terms exactly" % (self.rad, other.rad)
             )
-        return RadScalar(self.re + other.re, self.im + other.im, self.rad)
+        re = self.re + other.re
+        im = self.im + other.im
+        return _trusted(re, im, self.rad if re or im else 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RadScalar(-self.re, -self.im, self.rad)
+        return _trusted(-self.re, -self.im, self.rad)
 
     def __sub__(self, other):
         if isinstance(other, FloatScalar):
@@ -167,32 +171,34 @@ class RadScalar:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, FloatScalar):
-            return FloatScalar(complex(self) * other.value)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RadScalar.zero()
-        re = self.re * other.re - self.im * other.im
-        im = self.re * other.im + self.im * other.re
-        r, s = self.rad, other.rad
-        out = RadScalar.__new__(RadScalar)
-        if r == s:
-            out.re, out.im, out.rad = re * r, im * r, 1
+        if type(other) is not RadScalar:
+            if isinstance(other, FloatScalar):
+                return FloatScalar(complex(self) * other.value)
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not a and not b or not c and not d:
+            return ZERO
+        if b or d:
+            re, im = a * c - b * d, a * d + b * c
         else:
-            from math import gcd
-
+            re, im = a * c, b  # both real: b is the zero imaginary part
+        r, s = self.rad, other.rad
+        if r == s:
+            rad = 1
+            if r != 1:
+                re, im = re * r, im * r
+        else:
             g = gcd(r, s)
-            out.re, out.im, out.rad = re * g, im * g, (r // g) * (s // g)
-        if out.re == 0 and out.im == 0:
-            out.rad = 1
-        return out
+            re, im, rad = re * g, im * g, (r // g) * (s // g)
+        # nonzero factors have a nonzero product, so rad needs no reset
+        return _trusted(re, im, rad)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "RadScalar":
-        return RadScalar(self.re, -self.im, self.rad)
+        return _trusted(self.re, -self.im, self.rad)
 
     def abs_sq(self) -> Fraction:
         """Exact |value|^2 as a rational."""
@@ -205,8 +211,8 @@ class RadScalar:
     def inverse(self) -> "RadScalar":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero scalar")
-        c2 = self.re * self.re + self.im * self.im
-        return RadScalar(self.re / (c2 * self.rad), -self.im / (c2 * self.rad), self.rad)
+        d = (self.re * self.re + self.im * self.im) * self.rad
+        return _trusted(self.re / d, -self.im / d, self.rad)
 
     def __truediv__(self, other):
         if isinstance(other, FloatScalar):
@@ -255,8 +261,8 @@ class RadScalar:
     # -- value semantics ----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, RadScalar):
-            return self.re == other.re and self.im == other.im and self.rad == other.rad
+        if type(other) is RadScalar:
+            return self.rad == other.rad and self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
             return self == RadScalar(other)
         if isinstance(other, FloatScalar):
@@ -288,6 +294,20 @@ class RadScalar:
         if coeff == "1":
             return "sqrt(%d)" % self.rad
         return "%s*sqrt(%d)" % (coeff, self.rad)
+
+
+def _trusted(re: Fraction, im: Fraction, rad: int) -> RadScalar:
+    """A RadScalar from parts already in canonical form, skipping the
+    square split: ``rad`` square-free, and 1 when the value is zero."""
+    out = object.__new__(RadScalar)
+    out.re = re
+    out.im = im
+    out.rad = rad
+    return out
+
+
+ZERO = RadScalar(0)
+ONE = RadScalar(1)
 
 
 class FloatScalar:

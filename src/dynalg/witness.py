@@ -73,7 +73,7 @@ class CompiledWitness:
 
 def _require_rational_tuple(a: DiagTuple, name: str) -> None:
     for f in a.entries:
-        for v in f.values:
+        for v in f.sparse.values():
             if not (isinstance(v, RadScalar) and v.is_rational):
                 raise NotRational("%s must be rational-valued" % name)
 
@@ -119,7 +119,7 @@ def compile_witness(
     for (i, j), pts in pieces.items():
         _, s, k = w.rows[i][j]
         for p in pts:
-            v = b.entries[k].values[sys.act[s][p]].as_fraction()
+            v = b.entries[k](sys.act[s][p]).as_fraction()
             if min_val is None or v < min_val:
                 min_val = v
     delta = min_val / 2 if min_val is not None else Fraction(1)
@@ -138,7 +138,7 @@ def compile_witness(
     for l, pts in sorted(footprint.items()):
         vals = {}
         for q in pts:
-            shifted = b.entries[l].values[q].as_fraction() - delta
+            shifted = b.entries[l](q).as_fraction() - delta
             vals[q] = RadScalar.sqrt_of(shifted).inverse()
         inv_roots[l] = Func.from_dict(sys, vals)
 
@@ -277,7 +277,7 @@ def _default_eps_grid(a: DiagTuple) -> list[Fraction]:
         {
             v.as_fraction()
             for f in a.entries
-            for v in f.values
+            for v in f.sparse.values()
             if isinstance(v, RadScalar) and v.is_rational and v.re > 0
         }
     )

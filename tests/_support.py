@@ -14,8 +14,10 @@ from dynalg import (
     FiniteGroup,
     Func,
     MatrixElement,
+    NotPositive,
     RadScalar,
     Witness,
+    as_scalar,
     operator_norm,
     validate_system,
 )
@@ -350,3 +352,127 @@ def dense_verify_cpc(phi, tol: float = 1e-9) -> bool:
     if eigs.size and eigs.min() < -tol:
         return False
     return operator_norm(phi.unit_image()).value <= 1 + tol
+
+
+# -- dense function oracle -----------------------------------------------------
+
+
+class DenseFunc:
+    """The reference for Func: one stored value per point, every operation
+    a pass over all points, zeros included (the storage Func had before
+    it became sparse)."""
+
+    def __init__(self, system: DynSystem, values):
+        self.system = system
+        self.values = tuple(values)
+
+    def _new(self, values) -> "DenseFunc":
+        return DenseFunc(self.system, values)
+
+    def _zero(self) -> "DenseFunc":
+        return self._new([RadScalar(0)] * self.system.n_points)
+
+    @property
+    def support(self) -> frozenset:
+        return frozenset(x for x, v in enumerate(self.values) if not v.is_zero)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.support
+
+    @property
+    def is_positive(self) -> bool:
+        return all(v.is_nonneg_real for v in self.values)
+
+    def __add__(self, other):
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        return self._new([a + b for a, b in zip(self.values, other.values)])
+
+    def __sub__(self, other):
+        return self._new([a - b for a, b in zip(self.values, other.values)])
+
+    def __neg__(self):
+        return self._new([-v for v in self.values])
+
+    def __mul__(self, other):
+        common = self.support & other.support
+        if not common:
+            return self._zero()
+        vals = list(self._zero().values)
+        for x in common:
+            vals[x] = self.values[x] * other.values[x]
+        return self._new(vals)
+
+    def scaled(self, scalar):
+        s = as_scalar(scalar)
+        if s.is_zero:
+            return self._zero()
+        vals = list(self._zero().values)
+        for x in self.support:
+            vals[x] = self.values[x] * s
+        return self._new(vals)
+
+    def conj(self):
+        return self._new([v.conjugate() for v in self.values])
+
+    def compose_action(self, g: int):
+        act = self.system.act[g]
+        return self._new([self.values[act[x]] for x in range(self.system.n_points)])
+
+    def restrict(self, points):
+        pts = set(points)
+        return self._new(
+            [v if x in pts else RadScalar(0) for x, v in enumerate(self.values)]
+        )
+
+    def cutdown(self, eps):
+        eps = Fraction(eps)
+        if eps < 0:
+            raise NotPositive("cutdown parameter must be nonnegative")
+        if not self.is_positive:
+            raise NotPositive("cutdown of a non-positive function")
+        if eps == 0:
+            return self
+        vals = list(self._zero().values)
+        for x in self.support:
+            v = self.values[x]
+            if v.real_cmp(RadScalar(eps)) > 0:
+                vals[x] = v - RadScalar(eps)
+        return self._new(vals)
+
+    def sqrt(self):
+        if not self.is_positive:
+            raise NotPositive("square root of a non-positive function")
+        vals = list(self._zero().values)
+        for x in self.support:
+            vals[x] = self.values[x].sqrt()
+        return self._new(vals)
+
+    def __eq__(self, other):
+        return all(a == b for a, b in zip(self.values, other.values))
+
+
+def dense_crossed_product(a: CrossedElement, b: CrossedElement) -> tuple:
+    """The coefficient values of a b, one tuple per group element, by the
+    dense oracle: (a b)_k = sum_{gh = k} a_g (b_h . alpha_{g^{-1}})."""
+    sys = a.system
+    grp = sys.group
+    left = [DenseFunc(sys, f.values) for f in a.coeffs]
+    right = [DenseFunc(sys, f.values) for f in b.coeffs]
+    acc = [None] * grp.order
+    for g in range(grp.order):
+        if left[g].is_zero:
+            continue
+        for h in range(grp.order):
+            if right[h].is_zero:
+                continue
+            term = left[g] * right[h].compose_action(grp.inv(g))
+            if term.is_zero:
+                continue
+            k = grp.mul(g, h)
+            acc[k] = term if acc[k] is None else acc[k] + term
+    zero = (RadScalar(0),) * sys.n_points
+    return tuple(c.values if c is not None else zero for c in acc)

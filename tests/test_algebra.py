@@ -7,6 +7,9 @@ import pytest
 from dynalg import (
     CrossedElement,
     DiagTuple,
+    DynSystem,
+    FiniteGroup,
+    FloatScalar,
     Func,
     MatrixElement,
     NotFree,
@@ -24,6 +27,8 @@ from dynalg import (
 )
 
 from _support import (
+    DenseFunc,
+    dense_crossed_product,
     dense_regular_rep,
     quotient_system,
     random_element,
@@ -90,6 +95,196 @@ def test_ring_axioms_randomized():
         assert (a + b) * c == a * c + b * c
         assert (a * b).adjoint() == b.adjoint() * a.adjoint()
         assert a.adjoint().adjoint() == a
+
+
+# -- sparse functions against the dense oracle ------------------------------
+
+EXACT_VALUES = [
+    RadScalar(1),
+    RadScalar(-1),
+    RadScalar(0, 1),
+    RadScalar(Fraction(1, 2)),
+    RadScalar(Fraction(1, 2), Fraction(1, 2)),
+    RadScalar(2),
+]
+VALUE_POOLS = {
+    "exact": EXACT_VALUES,
+    "radical": EXACT_VALUES + [
+        RadScalar(1, 0, 2),
+        RadScalar(Fraction(1, 2), 0, 2),
+        RadScalar(0, 1, 3),
+        RadScalar(1, 0, 3),
+    ],
+    # mixes exact values into the float lane; the tiny values and the
+    # signed zeros are where skipping a point would show
+    "float": [
+        FloatScalar(0.5),
+        FloatScalar(complex(-1.25, 0.75)),
+        FloatScalar(1e-10),
+        FloatScalar(-1e-9),
+        FloatScalar(0.0),
+        FloatScalar(-0.0),
+        FloatScalar(complex(-0.0, -0.0)),
+        FloatScalar(complex(0.25, -0.0)),
+        RadScalar(1),
+        RadScalar(Fraction(1, 2), 0, 2),
+    ],
+    # real and nonnegative, for sqrt and cutdown
+    "positive": [
+        RadScalar(Fraction(1, 4)),
+        RadScalar(1),
+        RadScalar(2),
+        RadScalar(1, 0, 2),
+        FloatScalar(0.25),
+        FloatScalar(2.0),
+        FloatScalar(1e-10),
+        FloatScalar(-0.0),
+    ],
+}
+
+FUNC_BINARY = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "eq": lambda a, b: a == b,
+}
+
+FUNC_UNARY = {
+    "neg": lambda a, p: -a,
+    "conj": lambda a, p: a.conj(),
+    "compose_action": lambda a, p: a.compose_action(p["g"]),
+    "restrict": lambda a, p: a.restrict(p["points"]),
+    "scaled": lambda a, p: a.scaled(p["scalar"]),
+    "cutdown": lambda a, p: a.cutdown(p["eps"]),
+    "sqrt": lambda a, p: a.sqrt(),
+    "support": lambda a, p: a.support,
+    "is_positive": lambda a, p: a.is_positive,
+    "is_zero": lambda a, p: a.is_zero,
+    # moved copies that equal the original, or differ by float zeros only
+    "eq_moved_back": lambda a, p: a.compose_action(p["g"]).compose_action(p["g_inv"]) == a,
+    "eq_support_only": lambda a, p: a.restrict(a.support) == a,
+    "eq_difference_zero": lambda a, p: (a - a) == a.restrict(()),
+    "add_after_move": lambda a, p: a.compose_action(p["g"]) + a,
+    "sub_after_move": lambda a, p: a - a.compose_action(p["g"]),
+}
+
+
+def _described(value):
+    if isinstance(value, (Func, DenseFunc)):
+        if isinstance(value, Func):
+            # the sparse invariant: exact zeros are never stored
+            assert not any(
+                type(v) is RadScalar and v.is_zero for v in value.sparse.values()
+            )
+        return tuple(repr(v) for v in value.values)
+    return value
+
+
+def _outcome(op, *args):
+    try:
+        return ("ok", _described(op(*args)))
+    except Exception as exc:  # the oracle must raise the same exception
+        return ("raised", type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("pool", sorted(VALUE_POOLS))
+def test_func_matches_dense_oracle(fixed_point_system, pool):
+    """Every Func operation gives the dense oracle's values, bit for bit in
+    the float lane (compared by repr), and raises its exceptions."""
+    rng = random.Random("func-oracle-" + pool)
+    values = VALUE_POOLS[pool]
+    zero = RadScalar(0)
+    systems = [fixed_point_system, quotient_system()]
+    systems += [random_free_system(rng) for _ in range(4)]
+    seen = set()
+    for sys in systems:
+        for _ in range(40):
+            pair = []
+            for _ in range(2):
+                density = rng.choice([0.0, 0.3, 0.7, 1.0])
+                vals = [
+                    rng.choice(values) if rng.random() < density else zero
+                    for _ in range(sys.n_points)
+                ]
+                pair.append((Func(sys, vals), DenseFunc(sys, vals)))
+            (f, fd), (g, gd) = pair
+            assert Func.from_dict(sys, dict(enumerate(fd.values))) == f
+            h = rng.randrange(sys.group.order)
+            params = {
+                "g": h,
+                "g_inv": sys.group.inv(h),
+                "points": {x for x in range(sys.n_points) if rng.random() < 0.5},
+                "scalar": rng.choice(values + [zero]),
+                "eps": rng.choice([0, Fraction(1, 2), 1, 3]),
+            }
+            for name, op in FUNC_BINARY.items():
+                got, want = _outcome(op, f, g), _outcome(op, fd, gd)
+                assert got == want, (name, sys, fd.values, gd.values)
+                seen.add(got[:2])
+            for name, op in FUNC_UNARY.items():
+                got, want = _outcome(op, f, params), _outcome(op, fd, params)
+                assert got == want, (name, sys, fd.values, params)
+                seen.add(got[:2])
+            assert f.values == fd.values
+    assert ("ok", True) in seen and ("ok", False) in seen
+    if pool in ("radical", "positive"):
+        assert ("raised", "RadicalAdditionMismatch") in seen
+    if pool == "positive":
+        assert ("raised", "ExactnessError") in seen
+
+
+def test_func_errors_come_from_the_least_point():
+    """Past eight points, dict and small-set orders part from point order;
+    a mismatch or a missing square root is still reported for the least
+    point, as a pass in point order meets it."""
+    sys = DynSystem.translation(FiniteGroup.cyclic(9))
+    r2, r3, r5, r7 = (RadScalar(1, 0, k) for k in (2, 3, 5, 7))
+    f = Func.from_dict(sys, {8: r3, 0: r2, 1: r5})
+    g = Func.from_dict(sys, {8: r7, 1: r2, 0: r5})
+    fd, gd = DenseFunc(sys, f.values), DenseFunc(sys, g.values)
+    for name, op in FUNC_BINARY.items():
+        assert _outcome(op, f, g) == _outcome(op, fd, gd), name
+        assert _outcome(op, g, f) == _outcome(op, gd, fd), name
+    for op in (lambda a: a.sqrt(), lambda a: a.cutdown(Fraction(1, 2))):
+        assert _outcome(op, f)[0] == "raised"
+        assert _outcome(op, f) == _outcome(op, fd)
+        assert _outcome(op, g) == _outcome(op, gd)
+
+
+def _pool_element(rng, sys, values):
+    coeffs = []
+    for _ in range(sys.group.order):
+        density = rng.choice([0.0, 0.0, 0.3, 0.7])
+        coeffs.append(Func(sys, [
+            rng.choice(values) if rng.random() < density else RadScalar(0)
+            for _ in range(sys.n_points)
+        ]))
+    return CrossedElement(sys, coeffs)
+
+
+def _reprs(coeff_values):
+    return tuple(tuple(repr(v) for v in c) for c in coeff_values)
+
+
+@pytest.mark.parametrize("pool", ["radical", "float"])
+def test_crossed_product_matches_dense_oracle(fixed_point_system, pool):
+    """The product reads coefficients pointwise; its values must be the
+    dense oracle's, bit for bit in the float lane, with the same errors."""
+    rng = random.Random("product-oracle-" + pool)
+    values = VALUE_POOLS[pool]
+    systems = [fixed_point_system, quotient_system()]
+    systems += [random_free_system(rng) for _ in range(3)]
+    seen = set()
+    for sys in systems:
+        for _ in range(30):
+            a, b = _pool_element(rng, sys, values), _pool_element(rng, sys, values)
+            got = _outcome(lambda: _reprs(c.values for c in (a * b).coeffs))
+            want = _outcome(lambda: _reprs(dense_crossed_product(a, b)))
+            assert got == want
+            seen.add(got[0])
+    assert "ok" in seen
+    if pool == "radical":
+        assert "raised" in seen
 
 
 # -- conditional expectation ----------------------------------------------

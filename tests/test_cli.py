@@ -350,6 +350,27 @@ def test_castle_tzs_invalid_instance(capsys, tmp_path, z3_file):
         assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("phases", [5, [5]])
+def test_castle_data_bad_phases_rejected(capsys, tmp_path, z2_file, phases):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({
+        "towers": [{"base": ["0"], "shape": ["0", "1"]}],
+        "n": 2,
+        "weights": [[["0", "1"]]],
+        "phases": phases,
+    }))
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 2, "epsilon": "1/10", "F": [], "h": [["0", "1"]]}))
+    for argv in (
+        ["castle", "build-ozm", "--system", z2_file, "--data", str(data)],
+        ["castle", "decompose", "--system", z2_file, "--data", str(data)],
+        ["castle", "tzs", "--system", z2_file, "--instance", str(inst), "--data", str(data)],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+
 # -- semigroup ---------------------------------------------------------------------------
 
 

@@ -109,3 +109,45 @@ def test_float_scalar_tolerance():
     assert FloatScalar(1e-12).is_zero
     assert FloatScalar(1.0) == RadScalar(1)
     assert not FloatScalar(1e-3).is_zero
+
+
+def parts(s):
+    return (s.re, s.im, s.rad)
+
+
+like_pairs = st.builds(
+    lambda x, y, u, v, r: (RadScalar(x, y, r), RadScalar(u, v, r)),
+    rationals, rationals, rationals, rationals, radicands,
+)
+
+
+@given(like_pairs)
+def test_trusted_results_match_public_constructor(pair):
+    """Negation, conjugation, inverses, like-radicand sums and products
+    skip the square split; they must land on the canonical form that
+    the public constructor gives."""
+    a, b = pair
+    assert parts(-a) == parts(RadScalar(-a.re, -a.im, a.rad))
+    assert parts(a.conjugate()) == parts(RadScalar(a.re, -a.im, a.rad))
+    rad = b.rad if a.is_zero else a.rad  # a zero carries radicand 1
+    assert parts(a + b) == parts(RadScalar(a.re + b.re, a.im + b.im, rad))
+    assert parts(a - b) == parts(RadScalar(a.re - b.re, a.im - b.im, rad))
+    re = a.re * b.re - a.im * b.im
+    im = a.re * b.im + a.im * b.re
+    assert parts(a * b) == parts(RadScalar(re, im, a.rad * b.rad))
+    if not a.is_zero:
+        n = (a.re * a.re + a.im * a.im) * a.rad
+        assert parts(a.inverse()) == parts(RadScalar(a.re / n, -a.im / n, a.rad))
+
+
+@given(scalars(), scalars())
+def test_trusted_products_of_unlike_radicands(a, b):
+    re = a.re * b.re - a.im * b.im
+    im = a.re * b.im + a.im * b.re
+    assert parts(a * b) == parts(RadScalar(re, im, a.rad * b.rad))
+
+
+@given(scalars())
+def test_trusted_zero_results_carry_radicand_one(a):
+    for zero in (a + (-a), a - a, -(a - a), (a - a).conjugate(), a * RadScalar(0)):
+        assert parts(zero) == (0, 0, 1)
