@@ -19,13 +19,24 @@ sums them.
 ``search_subequivalence`` still returns an explicit witness, the
 lexicographically least one in (point, group, target) order, built by
 one greedy pass once the counts fit.
+
+The three table-level checks work on integers, never on Fractions or
+witnesses.  ``dynamical_comparison_check`` scales each extreme measure to
+integer weights by the lcm of its denominators and decides each subset
+pair on integer (measure vector, count vector) keys, by the same
+count-fit rule as ``search_subequivalence``.  ``type_semigroup`` encodes
+a count vector as one mixed-radix integer, so a candidate tuple's class
+key is the plain sum of its entries' codes.  ``almost_unperforation_check``
+and ``TypeSemigroup.order`` read one boolean class-order matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, lt
 from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import (
@@ -37,7 +48,13 @@ from .algebra import (
     matrix_orbit_blocks,
 )
 from .dynsys import DynSystem, InvariantMeasure, extreme_invariant_measures
-from .errors import IndexOutOfRange, NotFree, NotPositive, ResourceBound
+from .errors import (
+    IndexOutOfRange,
+    NotFree,
+    NotPositive,
+    PreconditionFailed,
+    ResourceBound,
+)
 
 import numpy as np
 
@@ -131,13 +148,24 @@ def _assignment_to_witness(
 
 
 def _orbit_counts(sys: DynSystem, sets: Iterable[Iterable[int]]) -> tuple[int, ...]:
-    """Points per orbit, summed over the sets (with multiplicity)."""
+    """Points per orbit, summed over the sets (with multiplicity).
+
+    A point outside range(n_points) raises IndexOutOfRange.
+    """
     counts = [0] * len(sys.orbit_partition)
     orbit_of = sys.orbit_id
+    n_points = sys.n_points
     for s in sets:
         for x in s:
+            if not 0 <= x < n_points:
+                raise IndexOutOfRange("point index %d out of range" % x)
             counts[orbit_of[x]] += 1
     return tuple(counts)
+
+
+def _counts_fit(need: Sequence[int], supply: Sequence[int]) -> bool:
+    """The count-fit rule: no orbit needs more points than it supplies."""
+    return all(map(le, need, supply))
 
 
 def search_subequivalence(
@@ -160,12 +188,7 @@ def search_subequivalence(
     """
     F = [frozenset(s) for s in F]
     V = [frozenset(s) for s in V]
-    for s in F + V:
-        for x in s:
-            if not 0 <= x < sys.n_points:
-                raise IndexOutOfRange("point index %d out of range" % x)
-    need, supply = _orbit_counts(sys, F), _orbit_counts(sys, V)
-    if any(n > s for n, s in zip(need, supply)):
+    if not _counts_fit(_orbit_counts(sys, F), _orbit_counts(sys, V)):
         return None
     points = [(i, p) for i, Fi in enumerate(F) for p in sorted(Fi)]
     used: set[tuple[int, int]] = set()
@@ -211,6 +234,12 @@ class ComparisonResult:
     exhausted: bool
 
 
+def _integer_weights(mu: InvariantMeasure) -> list[int]:
+    """The weights of mu times the lcm of their denominators (exact)."""
+    scale = math.lcm(*(w.denominator for w in mu.weights))
+    return [w.numerator * (scale // w.denominator) for w in mu.weights]
+
+
 def dynamical_comparison_check(
     sys: DynSystem, max_pairs: Optional[int] = None
 ) -> ComparisonResult:
@@ -221,21 +250,40 @@ def dynamical_comparison_check(
     the extreme measures forces strictness for all convex combinations,
     so the extreme ones suffice.  Returns the first failing pair if any.
     ``max_pairs`` truncates the enumeration (the result then reports
-    exhausted=False).
+    exhausted=False); a negative ``max_pairs`` raises PreconditionFailed.
+
+    The decision is made in integer count space.  Each measure is scaled
+    by the lcm of its denominators, so its values on subsets are exact
+    integers compared in the same order.  Every subset gets a key: its
+    scaled measure under each extreme measure, then its per-orbit count
+    vector, built once per mask from the mask without its highest bit.
+    A pair qualifies by comparing the measure parts of the two keys, and
+    O fits into V by the count-fit rule of ``search_subequivalence``
+    applied to the count parts; no witness is built.
     """
-    measures = extreme_invariant_measures(sys)
+    if max_pairs is not None and max_pairs < 0:
+        raise PreconditionFailed("max_pairs must be nonnegative, got %d" % max_pairs)
     nx = sys.n_points
-    subsets = [frozenset(x for x in range(nx) if m >> x & 1) for m in range(1 << nx)]
-    mvals = [[mu.measure(s) for mu in measures] for s in subsets]
+    measures = [_integer_weights(mu) for mu in extreme_invariant_measures(sys)]
+    n_measures = len(measures)
+    n_orbits = len(sys.orbit_partition)
+    keys = [(0,) * (n_measures + n_orbits)]
+    for x in range(nx):
+        point = tuple(w[x] for w in measures) + tuple(
+            int(o == sys.orbit_id[x]) for o in range(n_orbits)
+        )
+        keys += [tuple(map(add, key, point)) for key in keys]
     checked = 0
-    for io, O in enumerate(subsets):
-        for iv, V in enumerate(subsets):
+    for mo, key_o in enumerate(keys):
+        measure_o, count_o = key_o[:n_measures], key_o[n_measures:]
+        for mv, key_v in enumerate(keys):
             if max_pairs is not None and checked >= max_pairs:
                 return ComparisonResult(True, None, checked, exhausted=False)
             checked += 1
-            if not all(mo < mv for mo, mv in zip(mvals[io], mvals[iv])):
+            if not all(map(lt, measure_o, key_v[:n_measures])):
                 continue
-            if search_subequivalence(sys, [O], [V]) is None:
+            if not _counts_fit(count_o, key_v[n_measures:]):
+                O, V = (frozenset(x for x in range(nx) if m >> x & 1) for m in (mo, mv))
                 return ComparisonResult(False, (O, V), checked, exhausted=True)
     return ComparisonResult(True, None, checked, exhausted=True)
 
@@ -275,11 +323,8 @@ class TypeSemigroup:
         self._index: dict[tuple[int, ...], int] = {}
         for idx, vec in enumerate(self._vectors):
             self._index.setdefault(vec, idx)
-        self._explicit_order = (
-            tuple(tuple(bool(v) for v in row) for row in order)
-            if order is not None
-            else None
-        )
+        self._order_matrix = np.array(order, dtype=bool) if order is not None else None
+        self._order_table: Optional[tuple] = None
         self._explicit_add = dict(add) if add is not None else None
 
     @property
@@ -290,11 +335,23 @@ class TypeSemigroup:
     def zero_class(self) -> int:
         return 0
 
+    def _order(self) -> np.ndarray:
+        """The boolean class-order matrix: [i, j] is whether i lies below j.
+
+        Explicit tables give it directly; count-vector tables compare the
+        vectors one orbit coordinate at a time, so the largest temporary
+        is n_classes x n_classes.
+        """
+        if self._order_matrix is None:
+            below = np.ones((self.n_classes, self.n_classes), dtype=bool)
+            for col in np.array(self._vectors).T:
+                below &= col[:, None] <= col[None, :]
+            self._order_matrix = below
+        return self._order_matrix
+
     def le(self, i: int, j: int) -> bool:
         """Class i below class j in the induced order."""
-        if self._explicit_order is not None:
-            return self._explicit_order[i][j]
-        return all(a <= b for a, b in zip(self._vectors[i], self._vectors[j]))
+        return bool(self._order()[i, j])
 
     def _lookup(self, length: int, vector: tuple[int, ...]) -> Optional[int]:
         if not length:
@@ -309,11 +366,17 @@ class TypeSemigroup:
             return self._explicit_add[(i, j)]
         return self._lookup(
             len(self._support_reps[i]) + len(self._support_reps[j]),
-            tuple(a + b for a, b in zip(self._vectors[i], self._vectors[j])),
+            tuple(map(add, self._vectors[i], self._vectors[j])),
         )
 
     def multiple(self, i: int, m: int) -> Optional[int]:
-        """Class of m copies of class i, or None when it leaves the table."""
+        """Class of m copies of class i, or None when it leaves the table.
+
+        The copies are added one at a time with ``add_classes``.  A
+        negative m raises PreconditionFailed.
+        """
+        if m < 0:
+            raise PreconditionFailed("multiplicity must be nonnegative, got %d" % m)
         if m == 0:
             return self.zero_class
         acc = i
@@ -324,7 +387,10 @@ class TypeSemigroup:
         return acc
 
     def class_of_supports(self, supports) -> Optional[int]:
-        """Locate the class of a tuple of supports; None if out of table."""
+        """Locate the class of a tuple of supports; None if out of table.
+
+        A point outside range(n_points) raises IndexOutOfRange.
+        """
         stripped = [s for s in supports if s]
         return self._lookup(len(stripped), _orbit_counts(self.system, stripped))
 
@@ -334,12 +400,9 @@ class TypeSemigroup:
     @property
     def order(self) -> tuple:
         """The full order table (materializes on first access)."""
-        if self._explicit_order is None:
-            self._explicit_order = tuple(
-                tuple(self.le(i, j) for j in range(self.n_classes))
-                for i in range(self.n_classes)
-            )
-        return self._explicit_order
+        if self._order_table is None:
+            self._order_table = tuple(map(tuple, self._order().tolist()))
+        return self._order_table
 
     @property
     def add(self) -> dict:
@@ -364,10 +427,18 @@ def type_semigroup(sys: DynSystem, max_n: int, budget: int = 500_000) -> TypeSem
     other than the single zero tuple are skipped: dropping zero entries
     never changes a class, and the shorter stripped tuple is enumerated
     earlier.  Raises ResourceBound when more than ``budget`` candidates
-    would be enumerated.
+    would be enumerated, and PreconditionFailed for a negative max_n.
+
+    A count vector is encoded as one mixed-radix integer whose digit o is
+    the count in orbit o, in base max_n * (largest orbit) + 1.  A tuple
+    of at most max_n entries puts at most max_n |O| points in orbit O, so
+    no digit carries and the code of a tuple is the sum of its entries'
+    codes, which ``sum`` computes per candidate without building vectors.
     """
+    if max_n < 0:
+        raise PreconditionFailed("max_n must be nonnegative, got %d" % max_n)
     nx = sys.n_points
-    nonzero_masks = list(range(1, 1 << nx))
+    nonzero_masks = range(1, 1 << nx)
     total = 1 + sum(
         _count_multisets(len(nonzero_masks), k) for k in range(1, max_n + 1)
     )
@@ -376,26 +447,33 @@ def type_semigroup(sys: DynSystem, max_n: int, budget: int = 500_000) -> TypeSem
             "semigroup enumeration needs %d candidates, budget is %d" % (total, budget)
         )
 
-    mask_sets = {m: frozenset(x for x in range(nx) if m >> x & 1) for m in nonzero_masks}
-    mask_vectors = {m: _orbit_counts(sys, [mask_sets[m]]) for m in nonzero_masks}
-    seen = {_orbit_counts(sys, [])}
-    reps: list[tuple[frozenset, ...]] = [()]  # the zero class
+    base = max_n * max(map(len, sys.orbit_partition), default=0) + 1
+    codes = [0]
+    for x in range(nx):
+        place = base ** sys.orbit_id[x]
+        codes += [c + place for c in codes]
+    del codes[0]
+    seen = {0}
+    reps: list[tuple[int, ...]] = [()]  # the zero class, as masks
     for k in range(1, max_n + 1):
-        for combo in itertools.combinations_with_replacement(nonzero_masks, k):
-            vector = tuple(map(sum, zip(*(mask_vectors[m] for m in combo))))
-            if vector not in seen:
-                seen.add(vector)
-                reps.append(tuple(mask_sets[m] for m in combo))
+        combos = itertools.combinations_with_replacement(nonzero_masks, k)
+        sums = map(sum, itertools.combinations_with_replacement(codes, k))
+        for combo, code in zip(combos, sums):
+            if code not in seen:
+                seen.add(code)
+                reps.append(combo)
 
+    mask_sets = {m: frozenset(x for x in range(nx) if m >> x & 1) for m in nonzero_masks}
+    support_reps = [tuple(mask_sets[m] for m in rep) for rep in reps]
     class_reps = []
-    for rep in reps:
+    for rep in support_reps:
         entries = tuple(Func.indicator(sys, s) for s in rep) or (Func.zero(sys),)
         class_reps.append(DiagTuple(sys, entries))
     return TypeSemigroup(
         system=sys,
         max_n=max_n,
         classes=tuple(class_reps),
-        support_reps=tuple(reps),
+        support_reps=tuple(support_reps),
     )
 
 
@@ -408,25 +486,29 @@ def _count_multisets(n: int, k: int) -> int:
 def almost_unperforation_check(W: TypeSemigroup):
     """Verify (n+1)x <= ny implies x <= y within the computed table.
 
-    Returns (True, None) or (False, (x, y, n)) with the first violation.
-    Only multiples representable inside the table are examined; for each
-    n the candidate classes are filtered by representability first.
+    Returns (True, None) or (False, (x, y, n)) with the first violation in
+    (n, x, y) order.  Only multiples representable inside the table are
+    examined.  The multiples are built one copy at a time, each class's
+    k-th multiple from its (k-1)-th with one ``add_classes``, exactly as
+    ``TypeSemigroup.multiple`` builds them; each n is then decided at
+    once on the class-order matrix, by indexing it with the multiples.
     """
+    order = W._order()
+    below = list(range(W.n_classes))  # the n-th multiples, starting at n = 1
     for n in range(1, W.max_n + 1):
-        xs = [
-            (x, W.multiple(x, n + 1))
-            for x in range(W.n_classes)
-            if W.multiple(x, n + 1) is not None
+        above = [
+            None if a is None else W.add_classes(a, x) for x, a in enumerate(below)
         ]
-        ys = [
-            (y, W.multiple(y, n))
-            for y in range(W.n_classes)
-            if W.multiple(y, n) is not None
-        ]
-        for x, xx in xs:
-            for y, yy in ys:
-                if W.le(xx, yy) and not W.le(x, y):
-                    return False, (x, y, n)
+        xs = [x for x, a in enumerate(above) if a is not None]
+        ys = [y for y, b in enumerate(below) if b is not None]
+        if xs and ys:
+            big = order[np.ix_([above[x] for x in xs], [below[y] for y in ys])]
+            small = order[np.ix_(xs, ys)]
+            violations = np.flatnonzero(big & ~small)
+            if violations.size:
+                r, c = divmod(int(violations[0]), len(ys))
+                return False, (xs[r], ys[c], n)
+        below = above
     return True, None
 
 

@@ -46,10 +46,11 @@ def _point_product_vanishes(
     """Whether b* chi_x c vanishes (or, with ``diagonal_allowed``, lies in C(X)).
 
     The term for h = g^{-1} and a group l of c is conj(b_h(x)) c_l(x) at
-    the point g.x on u_{gl}.  Terms are summed per (group, point) in the
-    order the product (b* chi_x) c sums them, acting element g ascending
-    and then l ascending, with the same zero shortcuts (a running
-    coefficient that is zero everywhere is replaced by the next term), so
+    the point g.x on u_{gl}; only the g whose b_{g^{-1}} is nonzero
+    contribute.  Terms are summed per (group, point) in the order the
+    product (b* chi_x) c sums them, acting element g ascending and then l
+    ascending, with the same zero shortcuts (a running coefficient that
+    is zero everywhere is replaced by the next term), so
     RadicalAdditionMismatch is raised in exactly the same cases.  Sums are
     keyed by point as well as group because on a non-free action several
     terms can land on one point and cancel.
@@ -57,8 +58,8 @@ def _point_product_vanishes(
     sys = b.system
     grp = sys.group
     acc: dict[int, dict[int, Scalar]] = {}
-    for g in range(grp.order):
-        bx = b.coeffs[grp.inv(g)].sparse.get(x)
+    for g, h in sorted((grp.inv(h), h) for h in b.nonzero_groups):
+        bx = b.coeffs[h].sparse.get(x)
         if bx is None or bx.is_zero:
             continue
         left = bx.conjugate()

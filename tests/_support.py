@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from dynalg import (
+    ComparisonResult,
     CrossedElement,
     DiagTuple,
     DynSystem,
@@ -18,6 +19,7 @@ from dynalg import (
     RadScalar,
     Witness,
     as_scalar,
+    extreme_invariant_measures,
     operator_norm,
     validate_system,
 )
@@ -254,6 +256,94 @@ def backtracking_subequivalence(sys: DynSystem, F, V):
             for g in grouped
         )
     )
+
+
+# -- comparison-layer oracles --------------------------------------------------
+
+
+def fraction_comparison_check(sys: DynSystem, max_pairs=None, measures=None) -> ComparisonResult:
+    """Dynamical comparison over exact Fraction measures and witness searches.
+
+    Subset pairs (O, V) are visited in bitmask order; a pair qualifies
+    when every measure (the extreme invariant ones unless ``measures`` is
+    given) gives mu(O) < mu(V), and fails when the backtracking search
+    finds no witness.  ``max_pairs`` truncates as the library does.
+    """
+    if measures is None:
+        measures = extreme_invariant_measures(sys)
+    nx = sys.n_points
+    subsets = [frozenset(x for x in range(nx) if m >> x & 1) for m in range(1 << nx)]
+    mvals = [[mu.measure(s) for mu in measures] for s in subsets]
+    checked = 0
+    for io, O in enumerate(subsets):
+        for iv, V in enumerate(subsets):
+            if max_pairs is not None and checked >= max_pairs:
+                return ComparisonResult(True, None, checked, exhausted=False)
+            checked += 1
+            if not all(mo < mv for mo, mv in zip(mvals[io], mvals[iv])):
+                continue
+            if backtracking_subequivalence(sys, [O], [V]) is None:
+                return ComparisonResult(False, (O, V), checked, exhausted=True)
+    return ComparisonResult(True, None, checked, exhausted=True)
+
+
+def enumerated_semigroup_reps(sys: DynSystem, max_n: int) -> list:
+    """Type semigroup class representatives as tuples of supports.
+
+    Every tuple of nonzero masks is enumerated in (length, masks) order
+    and its per-orbit count vector is summed entry by entry; the first
+    tuple seen with a vector represents its class.
+    """
+    masks = [
+        frozenset(x for x in range(sys.n_points) if m >> x & 1)
+        for m in range(1, 1 << sys.n_points)
+    ]
+
+    def vector(supports):
+        counts = [0] * len(sys.orbit_partition)
+        for s in supports:
+            for x in s:
+                counts[sys.orbit_id[x]] += 1
+        return tuple(counts)
+
+    seen = {vector(())}
+    reps = [()]
+    for k in range(1, max_n + 1):
+        for combo in itertools.combinations_with_replacement(masks, k):
+            v = vector(combo)
+            if v not in seen:
+                seen.add(v)
+                reps.append(combo)
+    return reps
+
+
+def table_unperforation_check(order, add, max_n: int):
+    """Almost unperforation by walking an order table and an addition table.
+
+    Multiples are formed by repeated addition; for each n the pairs
+    (x, y) are visited in order and the first with (n+1)x <= ny but not
+    x <= y is returned as (False, (x, y, n)).
+    """
+
+    def multiple(i, m):
+        acc = i
+        for _ in range(m - 1):
+            acc = add[(acc, i)]
+            if acc is None:
+                return None
+        return acc
+
+    n_classes = len(order)
+    for n in range(1, max_n + 1):
+        for x in range(n_classes):
+            xx = multiple(x, n + 1)
+            if xx is None:
+                continue
+            for y in range(n_classes):
+                yy = multiple(y, n)
+                if yy is not None and order[xx][yy] and not order[x][y]:
+                    return False, (x, y, n)
+    return True, None
 
 
 def standard_free_systems(max_points: int = 8, max_group: int = 4):

@@ -5,13 +5,16 @@ from fractions import Fraction
 import pytest
 
 from dynalg import (
+    ComparisonResult,
     CrossedElement,
     DiagTuple,
     DynSystem,
     FiniteGroup,
     Func,
     IndexOutOfRange,
+    InvariantMeasure,
     NotFree,
+    PreconditionFailed,
     RadScalar,
     ResourceBound,
     TypeSemigroup,
@@ -28,13 +31,18 @@ from dynalg import (
     type_semigroup,
 )
 
+import dynalg.comparison
 from _support import (
     backtracking_subequivalence,
     brute_force_subequivalence,
+    enumerated_semigroup_reps,
+    fraction_comparison_check,
     quotient_system,
     random_diag_tuple,
     random_free_system,
     random_subsets,
+    standard_free_systems,
+    table_unperforation_check,
 )
 
 
@@ -233,6 +241,64 @@ def test_comparison_bound_truncates(z3):
     assert res.pairs_checked == 10 and not res.exhausted
 
 
+def test_comparison_matches_fraction_oracle(fixed_point_system):
+    systems = standard_free_systems(max_points=6) + [fixed_point_system, quotient_system()]
+    for sys in systems:
+        for max_pairs in (0, 1, 17, 4 ** sys.n_points - 1, None):
+            got = dynamical_comparison_check(sys, max_pairs)
+            assert got == fraction_comparison_check(sys, max_pairs)
+
+
+def test_comparison_first_counterexample_matches_oracle(monkeypatch, double_swap):
+    # Fewer measures than orbits make qualifying pairs that do not fit, so
+    # the counterexample and its position in bitmask order are compared.
+    # The mixture weighs the two orbits' points differently (1/6 and 1/3
+    # on double_swap), so the integer scaling is not the orbit size.
+    systems = [double_swap, quotient_system()]
+    rng = random.Random(36)
+    systems += [random_free_system(rng, max_points=6) for _ in range(6)]
+    failures = 0
+    for sys in systems:
+        mus = extreme_invariant_measures(sys)
+        if len(mus) < 2:
+            continue
+        mixture = InvariantMeasure(
+            sys,
+            tuple(Fraction(1, 3) * a + Fraction(2, 3) * b
+                  for a, b in zip(mus[0].weights, mus[1].weights)),
+        )
+        for measures in ([mus[0]], [mixture], [mus[-1], mixture]):
+            monkeypatch.setattr(
+                dynalg.comparison, "extreme_invariant_measures", lambda _s: measures
+            )
+            for max_pairs in (0, 1, 17, 4 ** sys.n_points - 1, None):
+                got = dynamical_comparison_check(sys, max_pairs)
+                assert got == fraction_comparison_check(sys, max_pairs, measures)
+                failures += not got.holds
+    assert failures > 0
+    # pinned: only the first orbit's measure on double_swap; ({2}, {0}) is
+    # the first pair where O has fewer first-orbit points but does not fit
+    mus = extreme_invariant_measures(double_swap)
+    monkeypatch.setattr(dynalg.comparison, "extreme_invariant_measures", lambda _s: mus[:1])
+    res = dynamical_comparison_check(double_swap)
+    assert res.counterexample == (frozenset({2}), frozenset({0}))
+    assert (res.holds, res.pairs_checked, res.exhausted) == (False, 4 * 16 + 2, True)
+    # a bound that stops just before the failing pair hides it
+    assert dynamical_comparison_check(double_swap, max_pairs=65) == ComparisonResult(
+        True, None, 65, exhausted=False
+    )
+    assert dynamical_comparison_check(double_swap, max_pairs=66) == res
+
+
+def test_negative_multiplicities_rejected(z3):
+    with pytest.raises(PreconditionFailed):
+        type_semigroup(z3, -1)
+    with pytest.raises(PreconditionFailed):
+        type_semigroup(z3, 2).multiple(1, -1)
+    with pytest.raises(PreconditionFailed):
+        dynamical_comparison_check(z3, max_pairs=-1)
+
+
 # -- type semigroup ----------------------------------------------------------------
 
 
@@ -302,6 +368,33 @@ def test_semigroup_matches_oracle_tables(z3, double_swap, fixed_point_system):
         assert W.add == add
 
 
+def test_semigroup_reps_match_enumeration(z2, z3, z4, double_swap, fixed_point_system):
+    systems = [z2, z3, z4, double_swap, fixed_point_system, quotient_system()]
+    systems += standard_free_systems(max_points=6)[5:]
+    for sys in systems:
+        for max_n in range(4 if sys.n_points <= 4 else 3):
+            W = type_semigroup(sys, max_n)
+            supports = [tuple(s for s in c.supports() if s) for c in W.classes]
+            assert supports == enumerated_semigroup_reps(sys, max_n)
+
+
+def test_semigroup_multiple_adds_one_copy_at_a_time(z2):
+    # 2[{0}] is represented by ({0, 1},), so a third copy still fits in
+    # max_n = 2 although three copies of ({0},) would not
+    W = type_semigroup(z2, max_n=2)
+    assert W.multiple(1, 2) == 2 and W.multiple(1, 3) == 3
+    assert W.multiple(1, 4) is None
+
+
+def test_class_lookup_rejects_points_out_of_range(z3, z4):
+    W = type_semigroup(z3, max_n=2)
+    for supports in ([{-1}], [{5}], [{0}, {3}]):
+        with pytest.raises(IndexOutOfRange):
+            W.class_of_supports(supports)
+    with pytest.raises(IndexOutOfRange):
+        W.class_of(DiagTuple.indicators(z4, [{3}]))
+
+
 def test_semigroup_budget(z3):
     with pytest.raises(ResourceBound):
         type_semigroup(z3, max_n=3, budget=10)
@@ -355,6 +448,33 @@ def test_unperforation_synthetic_violation():
     )
     ok, violation = almost_unperforation_check(fake)
     assert not ok and violation == (0, 1, 1)
+
+
+def test_unperforation_matches_table_oracle(z2, z3, double_swap, fixed_point_system):
+    for sys in (z2, z3, double_swap, fixed_point_system, quotient_system()):
+        W = type_semigroup(sys, max_n=3)
+        assert almost_unperforation_check(W) == table_unperforation_check(
+            W.order, W.add, W.max_n
+        )
+    # random explicit tables, where violations do occur
+    rng = random.Random(37)
+    one = DynSystem.translation(FiniteGroup.trivial())
+    x = DiagTuple.indicators(one, [{0}])
+    outcomes = set()
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        max_n = rng.randint(1, 3)
+        order = [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+        add = {
+            (i, j): None if rng.random() < 0.3 else rng.randrange(n)
+            for i in range(n)
+            for j in range(n)
+        }
+        fake = TypeSemigroup(one, max_n, (x,) * n, order=order, add=add)
+        expected = table_unperforation_check(order, add, max_n)
+        assert almost_unperforation_check(fake) == expected
+        outcomes.add(expected[0])
+    assert outcomes == {True, False}
 
 
 # -- Cuntz oracle -------------------------------------------------------------------
