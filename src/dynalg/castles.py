@@ -10,10 +10,20 @@ in V_t and unit-modulus phases theta_{t,i} on that support yields a map
 which is completely positive, contractive, order zero, and sends matrix
 units to normalizers.  Conversely every normalizer-preserving cpc order
 zero map over a free system decomposes into such data; both directions
-are implemented here with exact round-trip verification.  A finite space
-carries only finitely many disjoint levels, so castles here always have
-finitely many towers and the norm-decay condition a castle with
-infinitely many towers would need is vacuous.
+are implemented here with exact round-trip verification.
+
+Exact castle data is proved at its boundary: ``CastleOzmData.validate``
+checks the data, and ``build_castle_ozm`` then assembles the map without
+running the verifiers, since valid exact data has the four properties by
+the argument in its docstring.  Float data (any ``FloatScalar`` weight or
+phase value) is not covered by that argument, because ``validate``
+accepts unit moduli and norm bounds within a tolerance that can add up
+past the verifiers' own; its maps are verified after assembly.
+``decompose_ozm`` accepts arbitrary maps and always verifies its input.
+
+A finite space carries only finitely many disjoint levels, so castles
+here always have finitely many towers and the norm-decay condition a
+castle with infinitely many towers would need is vacuous.
 
 Order-zero verification is exact and finite: beyond the documented
 family of orthogonal positive pairs (diagonal projections p_S against
@@ -339,10 +349,48 @@ def _assemble(data: CastleOzmData) -> OrderZeroMap:
     return OrderZeroMap(sys, n, images)
 
 
+def _is_exact(data: CastleOzmData) -> bool:
+    """Every weight and phase value is an exact RadScalar."""
+    funcs = itertools.chain(data.weights, itertools.chain.from_iterable(data.phases))
+    return all(isinstance(v, RadScalar) for f in funcs for v in f.sparse.values())
+
+
 def build_castle_ozm(data: CastleOzmData) -> OrderZeroMap:
-    """Assemble the map from castle data and verify its three properties."""
+    """Assemble the map from validated castle data.
+
+    Exact data (every weight and phase value a RadScalar) is not verified
+    after assembly: ``validate`` has checked that the levels s.V_t are
+    pairwise disjoint, that each f_t is positive with sup at most one and
+    supported in V_t, and that each theta_{t,i} has modulus exactly one on
+    supp f_t and vanishes off it.  Then phi(e_ij) = sum_t u_{s_i} theta_i
+    conj(theta_j) f_t u_{s_j}^* has
+
+    * complete positivity: the Choi matrix [phi(e_ij)]_ij is
+      sum_t w_t w_t^* with (w_t)_i = u_{s_i} theta_{t,i} f_t^{1/2}, so each
+      point's Choi block is a sum of terms f_t(x) theta theta^* with
+      f_t(x) >= 0, and phi(e_ij)^* = phi(e_ji) exactly;
+    * contractivity: phi(1) = sum_t sum_i |theta_i|^2 f_t . alpha_{s_i^{-1}}
+      lies in C(X), with value |theta_i|^2 f_t = f_t <= 1 on the level
+      s_i.V_t, and the levels are disjoint;
+    * order zero: phi(e_ij) phi(e_kl) carries the factor chi of
+      s_j.V_t times chi of s'_k.V_t', so for j != k it vanishes (the
+      levels of distinct (tower, index) pairs are disjoint), and for
+      j = k only t = t' survives, with theta_i conj(theta_j) theta_j
+      conj(theta_l) f_t^2 = theta_i conj(theta_l) f_t^2 independent of j;
+    * normalizers: each point carries at most one nonzero coefficient of
+      phi(e_ij) (the unique level s_i.V_t through it), so a* chi_x a and
+      a chi_x a* lie in C(X), and phi(e_ii) lies in C(X).
+
+    Each of these is an identity between exact values, so the verifiers
+    hold on the result.  Float data is verified after assembly, since
+    its unit moduli and norm bound hold only within a tolerance that the
+    products can exceed: a phase of modulus 1 + 9e-10 passes
+    ``validate`` and fails complete positivity.
+    """
     data.validate()
     phi = _assemble(data)
+    if _is_exact(data):
+        return phi
     if not verify_order_zero(phi):
         raise InvalidCastleData("assembled map fails the order-zero relations")
     if not verify_cpc(phi):

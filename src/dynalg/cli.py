@@ -35,6 +35,7 @@ on the command line are ``chi:lbl1,lbl2`` (an indicator), ``zero``, or
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -682,9 +683,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing reads it
+    and leaves it as it was, and building it costs more than parsing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_tolerance_and_budget(args)
         return args.handler(args)

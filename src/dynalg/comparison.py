@@ -54,6 +54,7 @@ from .errors import (
     NotPositive,
     PreconditionFailed,
     ResourceBound,
+    SystemMismatch,
 )
 
 import numpy as np
@@ -395,6 +396,10 @@ class TypeSemigroup:
         return self._lookup(len(stripped), _orbit_counts(self.system, stripped))
 
     def class_of(self, a: DiagTuple) -> Optional[int]:
+        """The class of a tuple over the table's system; None if out of
+        table.  A tuple over another system raises SystemMismatch."""
+        if a.system is not self.system:
+            raise SystemMismatch("tuple over a different system than the table")
         return self.class_of_supports(a.supports())
 
     @property

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynalg import (
     Castle,
     CastleOzmData,
     CrossedElement,
     EmptyShape,
+    FloatScalar,
     Func,
     InvalidCastleData,
     NotFree,
@@ -36,7 +38,9 @@ from _support import (
     quotient_system,
     random_element,
     random_free_system,
+    standard_free_systems,
 )
+import dynalg.castles as castles
 
 PHASE_POOL = [RadScalar(1), RadScalar(-1), RadScalar(0, 1), RadScalar(0, -1)]
 WEIGHT_POOL = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]
@@ -533,3 +537,120 @@ def test_transpose_map_caught_by_unit_relations(z2):
     assert (p0 * p1).is_zero
     assert not verify_order_zero(flipped)
     assert not verify_cpc(flipped)
+
+
+# -- exact data is proved at validation --------------------------------------------
+
+# unit-modulus phases with radicands 1, 2 and 5, and weights with radicands
+# 1, 2 and 3; a weight of exactly 1 is listed twice so it is drawn often
+RADICAL_PHASES = PHASE_POOL + [
+    RadScalar(Fraction(1, 2), Fraction(1, 2), 2),
+    RadScalar(Fraction(1, 2), Fraction(-1, 2), 2),
+    RadScalar(Fraction(3, 5), Fraction(4, 5)),
+    RadScalar(Fraction(1, 5), Fraction(2, 5), 5),
+]
+RADICAL_WEIGHTS = [
+    RadScalar(1),
+    RadScalar(1),
+    RadScalar(Fraction(1, 2)),
+    RadScalar(Fraction(3, 4)),
+    RadScalar(Fraction(1, 2), 0, 2),
+    RadScalar(Fraction(1, 2), 0, 3),
+]
+ORACLE_SYSTEMS = standard_free_systems() + [quotient_system()]
+
+
+@st.composite
+def exact_castle_data(draw):
+    """Valid exact castle data: towers placed greedily on a drawn point
+    order, each base point with a drawn weight and drawn phases."""
+    sys = draw(st.sampled_from(ORACLE_SYSTEMS))
+    order = sys.group.order
+    n = draw(st.integers(1, min(3, order)))
+    points = draw(st.permutations(range(sys.n_points)))
+    occupied = set()
+    towers, weights, phases = [], [], []
+    for _ in range(draw(st.integers(0, 3))):
+        shape = tuple(sorted(draw(
+            st.lists(st.integers(0, order - 1), min_size=n, max_size=n, unique=True)
+        )))
+        size = draw(st.integers(1, 2))
+        base = []
+        for x in points:
+            if len(base) == size:
+                break
+            levels = [sys.act[s][p] for s in shape for p in base + [x]]
+            if len(set(levels)) == len(levels) and not occupied & set(levels):
+                base.append(x)
+        if not base:
+            continue
+        occupied |= {sys.act[s][p] for s in shape for p in base}
+        points = [p for p in points if p not in base]
+        towers.append((frozenset(base), shape))
+        weights.append(Func.from_dict(
+            sys, {x: draw(st.sampled_from(RADICAL_WEIGHTS)) for x in base}
+        ))
+        phases.append(tuple(
+            Func.from_dict(sys, {x: draw(st.sampled_from(RADICAL_PHASES)) for x in base})
+            for _ in range(n)
+        ))
+    data = CastleOzmData(
+        castle=Castle(sys, tuple(towers)),
+        weights=tuple(weights),
+        phases=tuple(phases),
+        n=n,
+    )
+    data.validate()
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_castle_data())
+def test_exact_castle_maps_pass_every_verifier(data):
+    phi = build_castle_ozm(data)
+    assert verify_order_zero(phi)
+    assert verify_cpc(phi)
+    assert verify_normalizer_preserving(phi)
+    if data.castle.system.is_free:
+        recovered = decompose_ozm(phi)
+        assert build_castle_ozm(recovered) == phi
+
+
+def _patch_verifiers(monkeypatch, replacement):
+    for name in ("verify_order_zero", "verify_cpc", "verify_normalizer_preserving"):
+        monkeypatch.setattr(castles, name, replacement(name))
+
+
+def test_exact_build_calls_no_verifier(monkeypatch, z4):
+    def refuse(name):
+        def call(phi):
+            raise AssertionError("%s called on exact data" % name)
+        return call
+
+    _patch_verifiers(monkeypatch, refuse)
+    c = Castle(z4, ((frozenset({0}), (0, 1)), (frozenset({2}), (0, 1))))
+    weights = (
+        Func.from_dict(z4, {0: RadScalar(1)}),
+        Func.from_dict(z4, {2: RadScalar(Fraction(1, 2), 0, 2)}),
+    )
+    data = CastleOzmData.with_trivial_phases(c, weights, 2)
+    build_castle_ozm(data)
+    identity_embedding(z4)
+
+
+def test_float_build_calls_every_verifier(monkeypatch, z2):
+    calls = []
+
+    def record(name):
+        def call(phi):
+            calls.append(name)
+            return True
+        return call
+
+    _patch_verifiers(monkeypatch, record)
+    c = Castle(z2, ((frozenset({0}), (0, 1)),))
+    # exact weight, float phase: one float value puts the data in the float lane
+    f = Func.indicator(z2, {0})
+    theta = Func.from_dict(z2, {0: FloatScalar(1.0)})
+    build_castle_ozm(CastleOzmData(castle=c, weights=(f,), phases=((f, theta),), n=2))
+    assert calls == ["verify_order_zero", "verify_cpc", "verify_normalizer_preserving"]

@@ -1,13 +1,15 @@
 import json
-import re
 import subprocess
 import sys
 
 import pytest
 
-from dynalg.cli import main, parse_scalar, format_scalar
+import dynalg.cli
+from dynalg.cli import build_parser, main, parse_scalar, format_scalar
 from dynalg import ParseError, RadScalar
 from fractions import Fraction
+
+from _support import strip_runtime
 
 
 def cyclic_system_payload(n):
@@ -407,10 +409,6 @@ def test_semigroup_budget_error(capsys, z3_file):
 # -- determinism ---------------------------------------------------------------------------
 
 
-def strip_runtime(text):
-    return re.sub(r'"runtime_s": [0-9.e-]+', '"runtime_s": 0', text)
-
-
 def test_reports_byte_identical_modulo_runtime(capsys, z3_file):
     argv = [
         "compare", "--system", z3_file,
@@ -420,6 +418,36 @@ def test_reports_byte_identical_modulo_runtime(capsys, z3_file):
     _, out1, _ = run_cli(capsys, argv)
     _, out2, _ = run_cli(capsys, argv)
     assert strip_runtime(out1) == strip_runtime(out2)
+
+
+def test_repeated_calls_share_no_state(capsys, z3_file):
+    # main parses with one parser per process; flags, appended tuple
+    # entries and defaults of one call must not reach the next
+    plain = ["compare", "--system", z3_file, "--a", "chi:0", "--b", "chi:1,2"]
+    loaded = [
+        "compare", "--system", z3_file, "--a", "chi:0", "--a", "chi:1", "--b", "chi:1,2",
+        "--witness", "--oracle", "--semigroup", "--max-n", "1",
+        "--float", "--tolerance", "0.5", "--budget", "70",
+    ]
+    _, first, _ = run_cli(capsys, plain)
+    code, _, _ = run_cli(capsys, loaded)
+    assert code == 0
+    _, again, _ = run_cli(capsys, plain)
+    assert strip_runtime(again) == strip_runtime(first)
+    report = json.loads(again)
+    assert report["params"] == {"mode": "exact", "tolerance": 1e-9}
+    assert report["certificates"] == {} and "cuntz_oracle" not in report["result"]
+    assert vars(dynalg.cli._parser().parse_args(plain)) == vars(build_parser().parse_args(plain))
+
+
+def test_cached_parser_help_matches_a_fresh_parser(capsys):
+    for argv in (["--help"], ["castle", "--help"], ["compare", "--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        cached = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert capsys.readouterr().out == cached
 
 
 def test_json_out_file(tmp_path, capsys, z3_file):

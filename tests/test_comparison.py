@@ -17,6 +17,7 @@ from dynalg import (
     PreconditionFailed,
     RadScalar,
     ResourceBound,
+    SystemMismatch,
     TypeSemigroup,
     Witness,
     almost_unperforation_check,
@@ -386,13 +387,21 @@ def test_semigroup_multiple_adds_one_copy_at_a_time(z2):
     assert W.multiple(1, 4) is None
 
 
-def test_class_lookup_rejects_points_out_of_range(z3, z4):
+def test_class_lookup_rejects_points_out_of_range(z3):
     W = type_semigroup(z3, max_n=2)
     for supports in ([{-1}], [{5}], [{0}, {3}]):
         with pytest.raises(IndexOutOfRange):
             W.class_of_supports(supports)
-    with pytest.raises(IndexOutOfRange):
-        W.class_of(DiagTuple.indicators(z4, [{3}]))
+
+
+def test_class_of_rejects_tuples_over_another_system(z2, z3, z4):
+    # a z2 tuple names points that exist in z3, so only the system check
+    # catches it; a z4 tuple is caught before its point 3 is looked up
+    W = type_semigroup(z3, max_n=2)
+    for a in (DiagTuple.indicators(z2, [{0, 1}]), DiagTuple.indicators(z4, [{3}])):
+        with pytest.raises(SystemMismatch):
+            W.class_of(a)
+    assert W.class_of(DiagTuple.indicators(z3, [{0, 1}])) == W.class_of_supports([{0, 1}])
 
 
 def test_semigroup_budget(z3):
