@@ -18,7 +18,11 @@ representation in floating point with absolute tolerance ``1e-9``:
 
     pi(f u_g) delta_{(h, x)} = f((g h).x) delta_{(g h, x)}
 
-on the basis indexed by pairs (h in G, x in X).
+on the basis indexed by pairs (h in G, x in X).  pi never moves a point,
+so it is the direct sum of one block per point.  One private builder,
+``_block_entries``, evaluates this rule for an n x n matrix of elements;
+the float matrices, the Choi blocks of ``castles.verify_cpc`` and the
+exact orbit blocks all read their entries from it.
 
 Storage is sparse.  A :class:`Func` keeps a dict from point to value that
 omits exactly the points whose value is an exact zero, so sums, products,
@@ -565,15 +569,8 @@ class MatrixElement:
     __hash__ = None
 
     def rep_matrix(self) -> np.ndarray:
-        dim = self.system.group.order * self.system.n_points
-        out = np.zeros((self.n * dim, self.n * dim), dtype=complex)
-        for i in range(self.n):
-            for j in range(self.n):
-                if not self.entries[i][j].is_zero:
-                    out[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = regular_rep(
-                        self.entries[i][j]
-                    )
-        return out
+        """delta_{(h, x)} in copy i has index i |G| |X| + h |X| + x."""
+        return _rep(self.system, self.entries)
 
     def __repr__(self):
         return "MatrixElement(n=%d over %r)" % (self.n, self.system)
@@ -640,26 +637,51 @@ class DiagTuple:
 # -- faithful representation, norms, blocks -----------------------------
 
 
+def _block_entries(sys: DynSystem, rows, x: int):
+    """Yield (row, column, stored value) of the block over x of an n x n
+    matrix of crossed elements: entry (i, j) puts a_g((g h).x) at
+    (i |G| + g h, j |G| + h), once per slot; other slots are exact zeros."""
+    ng, mul, act = sys.group.order, sys.group.mul, sys.act
+    for i, row in enumerate(rows):
+        for j, a in enumerate(row):
+            for g in a.nonzero_groups:
+                f = a.coeffs[g].sparse
+                for h in range(ng):
+                    gh = mul(g, h)
+                    v = f.get(act[gh][x])
+                    if v is not None:
+                        yield i * ng + gh, j * ng + h, v
+
+
+def _point_block(sys: DynSystem, rows, x: int) -> np.ndarray:
+    """The block over x as a complex matrix; zero values stay 0."""
+    size = len(rows) * sys.group.order
+    out = np.zeros((size, size), dtype=complex)
+    for r, c, v in _block_entries(sys, rows, x):
+        if not v.is_zero:
+            out[r, c] = complex(v)
+    return out
+
+
+def _rep(sys: DynSystem, rows) -> np.ndarray:
+    """The direct sum of the point blocks; slot s over x has index s |X| + x."""
+    nx = sys.n_points
+    dim = len(rows) * sys.group.order * nx
+    out = np.zeros((dim, dim), dtype=complex)
+    for x in range(nx):
+        out[x::nx, x::nx] = _point_block(sys, rows, x)
+    return out
+
+
 def point_block(a: CrossedElement, x: int) -> np.ndarray:
     """The representation on the fibre over the point x, a |G| x |G| matrix.
 
-    pi never moves the point: pi(f u_g) delta_{(h, x)} = f((g h).x)
-    delta_{(g h, x)}, so the span of the delta_{(h, x)} is invariant and the
-    entry at (row g h, column h) is a_g((g h).x).  For x' = s.x the unitary
-    V delta_h = delta_{h s} carries the block at x' onto the block at x,
-    so blocks over one orbit are unitarily equivalent.
+    pi never moves the point; the entry at (g h, h) is a_g((g h).x), read
+    from ``_block_entries`` like every block of the representation.  For
+    x' = s.x the unitary V delta_h = delta_{h s} carries the block at x'
+    onto the block at x, so blocks over one orbit are unitarily equivalent.
     """
-    sys = a.system
-    grp = sys.group
-    out = np.zeros((grp.order, grp.order), dtype=complex)
-    for g in a.nonzero_groups:
-        f = a.coeffs[g].sparse
-        for h in range(grp.order):
-            gh = grp.mul(g, h)
-            v = f.get(sys.act[gh][x])
-            if v is not None and not v.is_zero:
-                out[gh, h] = complex(v)
-    return out
+    return _point_block(a.system, ((a,),), x)
 
 
 def regular_rep(a: CrossedElement) -> np.ndarray:
@@ -670,13 +692,7 @@ def regular_rep(a: CrossedElement) -> np.ndarray:
     basis vector delta_{(h, x)} has index h |X| + x, and the matrix is the
     direct sum of the point blocks.
     """
-    sys = a.system
-    nx = sys.n_points
-    dim = sys.group.order * nx
-    out = np.zeros((dim, dim), dtype=complex)
-    for x in range(nx):
-        out[x::nx, x::nx] = point_block(a, x)
-    return out
+    return _rep(a.system, ((a,),))
 
 
 @dataclass(frozen=True)
@@ -773,14 +789,23 @@ def _exact_rank(entries) -> int:
     return rank
 
 
-def _orbit_transporters(sys: DynSystem, orbit) -> dict:
-    table = {}
-    for x in orbit:
-        for g in range(sys.group.order):
-            y = sys.act[g][x]
-            if (x, y) not in table:
-                table[(x, y)] = g
-    return table
+def _orbit_blocks(sys: DynSystem, rows) -> list[OrbitBlock]:
+    """Exact orbit blocks: the block over the orbit's least point x, slot
+    i |G| + h moved to i |O| + (position of h.x), a bijection when free."""
+    if not sys.is_free:
+        raise NotFree("orbit blocks need a free action")
+    ng = sys.group.order
+    size = len(rows) * ng
+    blocks = []
+    for orbit in sys.orbit_partition:
+        x = orbit[0]
+        pos = {y: p for p, y in enumerate(orbit)}
+        slot = [i * ng + pos[sys.act[h][x]] for i in range(len(rows)) for h in range(ng)]
+        entries = [[ZERO] * size for _ in range(size)]
+        for r, c, v in _block_entries(sys, rows, x):
+            entries[slot[r]][slot[c]] = v
+        blocks.append(OrbitBlock(orbit, tuple(map(tuple, entries))))
+    return blocks
 
 
 def orbit_block_decomposition(a: CrossedElement) -> list[OrbitBlock]:
@@ -790,44 +815,12 @@ def orbit_block_decomposition(a: CrossedElement) -> list[OrbitBlock]:
     representation up to multiplicity, and two elements are equal iff all
     their blocks are equal.
     """
-    sys = a.system
-    if not sys.is_free:
-        raise NotFree("orbit blocks need a free action")
-    blocks = []
-    for orbit in sys.orbit_partition:
-        trans = _orbit_transporters(sys, orbit)
-        rows = []
-        for y in orbit:
-            row = []
-            for x in orbit:
-                g = trans[(x, y)]
-                row.append(a.coeffs[g](y) if g in a.nonzero_groups else ZERO)
-            rows.append(tuple(row))
-        blocks.append(OrbitBlock(orbit, tuple(rows)))
-    return blocks
+    return _orbit_blocks(a.system, ((a,),))
 
 
 def matrix_orbit_blocks(m: MatrixElement) -> list[OrbitBlock]:
     """Orbit blocks of a matrix element: n x n of entry blocks, stacked."""
-    sys = m.system
-    if not sys.is_free:
-        raise NotFree("orbit blocks need a free action")
-    entry_blocks = [
-        [orbit_block_decomposition(m.entries[i][j]) for j in range(m.n)]
-        for i in range(m.n)
-    ]
-    out = []
-    for o, orbit in enumerate(sys.orbit_partition):
-        size = len(orbit)
-        rows = []
-        for i in range(m.n):
-            for r in range(size):
-                row = []
-                for j in range(m.n):
-                    row.extend(entry_blocks[i][j][o].entries[r])
-                rows.append(tuple(row))
-        out.append(OrbitBlock(orbit, tuple(rows)))
-    return out
+    return _orbit_blocks(m.system, m.entries)
 
 
 def to_product_element(

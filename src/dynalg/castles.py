@@ -52,7 +52,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import CrossedElement, Func, NORM_TOL, operator_norm, point_block
+from .algebra import CrossedElement, Func, NORM_TOL, _point_block, operator_norm
 from .comparison import Witness, search_subequivalence
 from .dynsys import DynSystem
 from .errors import (
@@ -64,6 +64,7 @@ from .errors import (
     NotFree,
     NotNormalizerPreserving,
     NotOrderZero,
+    PreconditionFailed,
     ResourceBound,
 )
 from .normalizers import check_normalizer_preserving
@@ -482,8 +483,8 @@ def verify_cpc(phi: OrderZeroMap, tol: float = NORM_TOL) -> bool:
     Adjoint symmetry phi(e_ij)* = phi(e_ji) is checked exactly first; it
     is necessary for positivity and keeps the Choi matrix hermitian up to
     float error only.  The representation never moves the point x, so the
-    Choi matrix [pi(phi(e_ij))]_ij is the direct sum over x of the blocks
-    [B_x(phi(e_ij))]_ij built from the |G| x |G| point blocks B_x; for
+    Choi matrix [pi(phi(e_ij))]_ij is the direct sum over x of the point
+    blocks of the matrix [phi(e_ij)], of size n|G|; for
     x' = s.x the unitary V delta_h = delta_{h s}, applied in each of the n
     slots, makes the blocks at x and x' equivalent.  The hermitian and
     eigenvalue tests therefore run on one n|G| block per orbit, at the
@@ -494,14 +495,9 @@ def verify_cpc(phi: OrderZeroMap, tol: float = NORM_TOL) -> bool:
         for j in range(i, n):
             if phi.images[(i, j)].adjoint() != phi.images[(j, i)]:
                 return False
-    ng = phi.system.group.order
+    images = [[phi.images[(i, j)] for j in range(n)] for i in range(n)]
     for orbit in phi.system.orbit_partition:
-        x = orbit[0]
-        choi = np.zeros((n * ng, n * ng), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                block = point_block(phi.images[(i, j)], x)
-                choi[i * ng : (i + 1) * ng, j * ng : (j + 1) * ng] = block
+        choi = _point_block(phi.system, images, orbit[0])
         if not np.allclose(choi, choi.conj().T, atol=tol):
             return False
         eigs = np.linalg.eigvalsh(choi)
@@ -532,6 +528,8 @@ def decompose_ozm(phi: OrderZeroMap) -> CastleOzmData:
     if not sys.is_free:
         raise NotFree("decomposition needs a free action")
     n = phi.n
+    if n < 1:
+        raise PreconditionFailed("decomposition needs n >= 1, got %d" % n)
     for i in range(n):
         for j in range(i, n):
             if phi.images[(i, j)].adjoint() != phi.images[(j, i)]:

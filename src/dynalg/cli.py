@@ -156,6 +156,8 @@ def parse_system(payload) -> DynSystem:
         action = [[pidx[str(v)] for v in row] for row in action_lbl]
     except KeyError as exc:
         raise ParseError("unknown label %s in system tables" % exc)
+    except TypeError as exc:
+        raise ParseError("system tables must be lists of rows: %s" % exc)
     group = FiniteGroup(elements, table)
     return DynSystem(group, points, action)
 
@@ -236,9 +238,9 @@ def parse_witness(sys_obj: DynSystem, payload) -> Witness:
                 U = frozenset(sys_obj.point_index(str(p)) for p in pts)
                 triples.append((U, sys_obj.group.index(str(glabel)), int(k)))
             rows.append(tuple(triples))
+        return Witness(tuple(rows))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("bad witness payload: %s" % exc)
-    return Witness(tuple(rows))
 
 
 def witness_payload(sys_obj: DynSystem, w: Witness):

@@ -173,15 +173,18 @@ def extract_witness(
 ) -> Witness:
     """Recover a witness from an exact r-normalizer certificate.
 
-    Preconditions (verified, PreconditionFailed otherwise): t is a matrix
-    r-normalizer and t*(b-delta)_+ t = (a-eps)_+ exactly.  The returned
-    witness covers the supports of (a-eps)_+ by the pulled-back supports
-    of the entries of t against b; it need not reproduce the witness that
-    produced t, but it always passes check_witness.
+    Preconditions (verified, PreconditionFailed otherwise): t is no smaller
+    than either tuple, is a matrix r-normalizer, and t*(b-delta)_+ t =
+    (a-eps)_+ exactly.  The returned witness covers the supports of
+    (a-eps)_+ by the pulled-back supports of the entries of t against b; it
+    need not reproduce the witness that produced t, but it always passes
+    check_witness.
     """
     eps = Fraction(eps)
     delta = Fraction(delta)
     sys = a.system
+    if t.n < max(len(a), len(b)):
+        raise PreconditionFailed("t is %d x %d, smaller than the tuples" % (t.n, t.n))
     if not matrix_is_r_normalizer(t, method="entrywise"):
         raise PreconditionFailed("t is not a matrix r-normalizer")
     n = t.n

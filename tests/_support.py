@@ -16,7 +16,9 @@ from dynalg import (
     FiniteGroup,
     Func,
     MatrixElement,
+    NotFree,
     NotPositive,
+    OrbitBlock,
     RadScalar,
     Witness,
     as_scalar,
@@ -24,6 +26,7 @@ from dynalg import (
     operator_norm,
     validate_system,
 )
+from dynalg.scalars import ZERO
 
 VALUE_POOL = [
     Fraction(1),
@@ -443,6 +446,113 @@ def dense_verify_cpc(phi, tol: float = 1e-9) -> bool:
     if eigs.size and eigs.min() < -tol:
         return False
     return operator_norm(phi.unit_image()).value <= 1 + tol
+
+
+# -- representation builders, one loop per concept -----------------------------
+
+
+def loop_point_block(a: CrossedElement, x: int) -> np.ndarray:
+    """The |G| x |G| block over x by its own loop: entry (gh, h) is
+    a_g(gh.x), values that are zero left at 0."""
+    sys = a.system
+    grp = sys.group
+    out = np.zeros((grp.order, grp.order), dtype=complex)
+    for g in a.nonzero_groups:
+        f = a.coeffs[g].sparse
+        for h in range(grp.order):
+            gh = grp.mul(g, h)
+            v = f.get(sys.act[gh][x])
+            if v is not None and not v.is_zero:
+                out[gh, h] = complex(v)
+    return out
+
+
+def slice_regular_rep(a: CrossedElement) -> np.ndarray:
+    """The representation assembled from ``loop_point_block``, index h |X| + x."""
+    nx = a.system.n_points
+    dim = a.system.group.order * nx
+    out = np.zeros((dim, dim), dtype=complex)
+    for x in range(nx):
+        out[x::nx, x::nx] = loop_point_block(a, x)
+    return out
+
+
+def slice_rep_matrix(m: MatrixElement) -> np.ndarray:
+    """The representation of a matrix element as n^2 full-size slices, one
+    ``slice_regular_rep`` per nonzero entry."""
+    dim = m.system.group.order * m.system.n_points
+    out = np.zeros((m.n * dim, m.n * dim), dtype=complex)
+    for i in range(m.n):
+        for j in range(m.n):
+            if not m.entries[i][j].is_zero:
+                out[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = slice_regular_rep(
+                    m.entries[i][j]
+                )
+    return out
+
+
+def slice_choi_block(m: MatrixElement, x: int) -> np.ndarray:
+    """The n|G| block over x of a matrix element, one point block per slot."""
+    ng = m.system.group.order
+    out = np.zeros((m.n * ng, m.n * ng), dtype=complex)
+    for i in range(m.n):
+        for j in range(m.n):
+            out[i * ng : (i + 1) * ng, j * ng : (j + 1) * ng] = loop_point_block(
+                m.entries[i][j], x
+            )
+    return out
+
+
+def orbit_transporters(sys: DynSystem, orbit) -> dict:
+    """(x, y) -> the least g with g.x = y, for x, y in one orbit."""
+    table = {}
+    for x in orbit:
+        for g in range(sys.group.order):
+            y = sys.act[g][x]
+            if (x, y) not in table:
+                table[(x, y)] = g
+    return table
+
+
+def transporter_orbit_blocks(a: CrossedElement) -> list:
+    """Orbit blocks read through the transporter table: the entry at
+    (row y, column x) is a_g(y) for the g with g.x = y."""
+    sys = a.system
+    if not sys.is_free:
+        raise NotFree("orbit blocks need a free action")
+    blocks = []
+    for orbit in sys.orbit_partition:
+        trans = orbit_transporters(sys, orbit)
+        rows = []
+        for y in orbit:
+            row = []
+            for x in orbit:
+                g = trans[(x, y)]
+                row.append(a.coeffs[g](y) if g in a.nonzero_groups else ZERO)
+            rows.append(tuple(row))
+        blocks.append(OrbitBlock(orbit, tuple(rows)))
+    return blocks
+
+
+def transporter_matrix_orbit_blocks(m: MatrixElement) -> list:
+    """Orbit blocks of a matrix element: the n x n entry blocks, stacked."""
+    sys = m.system
+    if not sys.is_free:
+        raise NotFree("orbit blocks need a free action")
+    entry_blocks = [
+        [transporter_orbit_blocks(m.entries[i][j]) for j in range(m.n)] for i in range(m.n)
+    ]
+    out = []
+    for o, orbit in enumerate(sys.orbit_partition):
+        rows = []
+        for i in range(m.n):
+            for r in range(len(orbit)):
+                row = []
+                for j in range(m.n):
+                    row.extend(entry_blocks[i][j][o].entries[r])
+                rows.append(tuple(row))
+        out.append(OrbitBlock(orbit, tuple(rows)))
+    return out
 
 
 # -- dense function oracle -----------------------------------------------------
