@@ -1,14 +1,25 @@
-"""CLI castle reports compared byte for byte with recorded reports.
+"""CLI reports compared byte for byte with recorded reports.
 
-Each case runs one ``castle`` command in process and compares its output
-with ``golden/reports/<case>.txt``: standard output, with ``runtime_s``
+Each case runs one command in process and compares its output with
+``golden/reports/<case>.txt``: standard output, with ``runtime_s``
 zeroed, when the command succeeds, and the JSON error on standard error
-when it fails.  The cases cover ``build-ozm``, ``decompose`` and
-``tzs --data`` on exact data and with ``--float``, two float-mode data
-files that pass validation but not the map verifiers (a phase of modulus
-1 + 9e-10, and phase moduli 1, 1 - 9e-10, 1), and data that fails
-validation.  Reports name no file paths, so the inputs are located from
-this file.
+when it fails.
+
+The castle cases cover ``build-ozm``, ``decompose`` and ``tzs --data`` on
+exact data and with ``--float``, two float-mode data files that pass
+validation but not the map verifiers (a phase of modulus 1 + 9e-10, and
+phase moduli 1, 1 - 9e-10, 1), and data that fails validation.
+
+The witness and comparison cases cover ``witness compile`` and
+``witness roundtrip`` of a two-row tuple on the cyclic group of order 4,
+``witness extract`` from the certificate that compile writes
+(``golden/inputs/z4_certificate.json``), the same certificate against a
+tuple of the wrong length, a certificate whose matrix is not an
+r-normalizer, and ``compare --witness --oracle`` exactly and with
+``--float``.  Every witness command decides whether a matrix is an
+r-normalizer.
+
+Reports name no file paths, so the inputs are located from this file.
 """
 
 from pathlib import Path
@@ -24,6 +35,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 Z2 = str(ROOT / "demos" / "data" / "z2.json")
 Z3 = str(ROOT / "demos" / "data" / "z3.json")
+Z4 = str(ROOT / "demos" / "data" / "z4.json")
 DATA = str(ROOT / "demos" / "data" / "data.json")
 
 
@@ -34,7 +46,7 @@ def _input(name):
 _TZS_Z3 = ["--system", Z3, "--instance", _input("z3_inst.json"), "--data", _input("z3_data.json")]
 
 # case name -> (argv, exit code)
-CASES = {
+CASTLE_CASES = {
     "build_ozm_exact": (["castle", "build-ozm", "--system", Z2, "--data", DATA], 0),
     "decompose_exact": (["castle", "decompose", "--system", Z2, "--data", DATA], 0),
     "tzs_data_exact": (["castle", "tzs"] + _TZS_Z3, 0),
@@ -62,10 +74,31 @@ CASES = {
     ),
 }
 
+_TUPLES_Z4 = ["--system", Z4, "--a", "chi:0", "--a", "chi:1", "--b", "chi:2,3", "--b", "chi:0"]
+_CERT_Z4 = ["--certificate", _input("z4_certificate.json")]
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_castle_report_matches_recording(capsys, case):
-    argv, expected_code = CASES[case]
+WITNESS_CASES = {
+    "witness_compile": (["witness", "compile"] + _TUPLES_Z4 + ["--epsilon", "1/3"], 0),
+    "witness_roundtrip": (["witness", "roundtrip"] + _TUPLES_Z4 + ["--epsilon", "1/3"], 0),
+    "witness_extract": (["witness", "extract"] + _TUPLES_Z4 + _CERT_Z4, 0),
+    "witness_extract_wrong_length": (
+        ["witness", "extract", "--system", Z4, "--a", "chi:0", "--b", "chi:2,3"] + _CERT_Z4,
+        1,
+    ),
+    "witness_extract_not_r_normalizer": (
+        ["witness", "extract", "--system", Z4, "--a", "chi:0", "--b", "chi:2,3",
+         "--certificate", _input("not_r_normalizer_certificate.json")],
+        1,
+    ),
+    "compare_witness_oracle_exact": (["compare"] + _TUPLES_Z4 + ["--witness", "--oracle"], 0),
+    "compare_witness_oracle_float": (
+        ["compare", "--float"] + _TUPLES_Z4 + ["--witness", "--oracle"],
+        0,
+    ),
+}
+
+
+def _check_recording(capsys, case, argv, expected_code):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == expected_code
@@ -76,3 +109,13 @@ def test_castle_report_matches_recording(capsys, case):
         assert captured.out == ""
         text = captured.err
     assert text == (GOLDEN / "reports" / (case + ".txt")).read_text()
+
+
+@pytest.mark.parametrize("case", sorted(CASTLE_CASES))
+def test_castle_report_matches_recording(capsys, case):
+    _check_recording(capsys, case, *CASTLE_CASES[case])
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_CASES))
+def test_witness_and_compare_report_matches_recording(capsys, case):
+    _check_recording(capsys, case, *WITNESS_CASES[case])
