@@ -2,7 +2,10 @@
 
 An element a is an r-normalizer when a*Da stays diagonal.  For free
 actions this is the same as its coefficient supports being pairwise
-disjoint; without freeness the two can disagree, shown here.
+disjoint (``coefficient_supports_disjoint``); without freeness the two can
+disagree, shown here.  A matrix amplification is an r-normalizer when its
+entries are, and the entries of each row are orthogonal against every
+point indicator.
 
 Run with:  python3 demos/03_normalizers.py
 """
@@ -17,7 +20,6 @@ from dynalg import (
     coefficient_supports_disjoint,
     is_normalizer,
     is_r_normalizer,
-    is_r_normalizer_by_support,
     matrix_is_r_normalizer,
     orthogonal_sum,
 )
@@ -34,7 +36,7 @@ def main():
     bad = mono(z2, {0}, 0) + mono(z2, {0}, 1)    # overlapping supports
     for name, a in (("disjoint", good), ("overlapping", bad)):
         print("%s: algebraic=%s support=%s" % (
-            name, is_r_normalizer(a), is_r_normalizer_by_support(a)))
+            name, is_r_normalizer(a), coefficient_supports_disjoint(a)))
 
     # without freeness the support criterion is not equivalent: on the
     # trivial Z/2 action, 1 + i u has overlapping supports but the cross
@@ -49,13 +51,11 @@ def main():
           coefficient_supports_disjoint(a),
           ", algebraic r-normalizer =", is_r_normalizer(a))
 
-    # matrix amplifications: the row-support criterion and the entrywise
-    # one agree, and both match the product-system reduction
+    # a matrix amplification: the two entries of the first row sit on
+    # disjoint points, so they are orthogonal and the matrix passes
     z = CrossedElement.zero(z2)
     m = MatrixElement(z2, ((mono(z2, {0}, 0), mono(z2, {1}, 0)), (z, z)))
-    print("matrix entrywise:", matrix_is_r_normalizer(m, "entrywise"))
-    print("matrix support:  ", matrix_is_r_normalizer(m, "support"))
-    print("matrix product:  ", matrix_is_r_normalizer(m, "product"))
+    print("matrix entrywise:", matrix_is_r_normalizer(m))
 
     # sums of normalizers stay normalizers under orthogonality of both
     # one-sided products; on Z/4 the pair below satisfies both

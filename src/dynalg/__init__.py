@@ -59,7 +59,6 @@ from .algebra import (
     point_block,
     pos_cutdown,
     regular_rep,
-    to_product_element,
 )
 from .normalizers import (
     OrthogonalSum,
@@ -68,7 +67,6 @@ from .normalizers import (
     coefficient_supports_disjoint,
     is_normalizer,
     is_r_normalizer,
-    is_r_normalizer_by_support,
     is_s_normalizer,
     matrix_is_r_normalizer,
     orthogonal_sum,

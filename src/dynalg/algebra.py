@@ -62,7 +62,6 @@ __all__ = [
     "regular_rep",
     "orbit_block_decomposition",
     "operator_norm",
-    "to_product_element",
 ]
 
 NORM_TOL = 1e-9
@@ -707,15 +706,12 @@ class NormResult:
         return self.value
 
 
-def operator_norm(a, mode: str = "exact-first") -> NormResult:
+def operator_norm(a) -> NormResult:
     """Largest singular value of the representation, with tolerance report.
 
-    ``mode="exact-first"`` short-circuits exact zero elements to 0.0;
-    ``mode="float"`` always goes through the float representation.
+    An exact zero element is 0.0 without a float computation.
     """
-    if mode not in ("exact-first", "float"):
-        raise ValueError("unknown norm mode %r" % mode)
-    if mode == "exact-first" and a.is_zero:
+    if a.is_zero:
         return NormResult(0.0, NORM_TOL, exact_zero=True)
     mat = a.rep_matrix()
     if mat.size == 0:
@@ -821,39 +817,3 @@ def orbit_block_decomposition(a: CrossedElement) -> list[OrbitBlock]:
 def matrix_orbit_blocks(m: MatrixElement) -> list[OrbitBlock]:
     """Orbit blocks of a matrix element: n x n of entry blocks, stacked."""
     return _orbit_blocks(m.system, m.entries)
-
-
-def to_product_element(
-    x: MatrixElement, product: Optional[DynSystem] = None
-) -> tuple[DynSystem, CrossedElement]:
-    """Identify M_n (x) (C(X) x G) with the crossed product of the product action.
-
-    The matrix x with entries x_ij = sum_g x_{i,j,g} u_g maps to
-
-        y = sum_g sum_{i,j} (chi_{i} (x) x_{i,j,g}) u_{(i-j, g)}
-
-    over (Z/n x G) acting on {0..n-1} x X.  The identification is a
-    *-isomorphism carrying the diagonal subalgebra onto C of the product
-    space.
-    """
-    from .dynsys import product_with_cyclic
-
-    n = x.n
-    sys = x.system
-    if product is None:
-        product = product_with_cyclic(sys, n)
-    ng, nx = sys.group.order, sys.n_points
-    coeff_values: dict[int, dict] = {}
-    for i in range(n):
-        for j in range(n):
-            entry = x.entries[i][j]
-            d = (i - j) % n
-            for g in entry.nonzero_groups:
-                vals = coeff_values.setdefault(d * ng + g, {})
-                f = entry.coeffs[g]
-                for p in f.support:
-                    vals[i * nx + p] = f.sparse[p]
-    coeffs = [Func.zero(product)] * product.group.order
-    for pg, vals in coeff_values.items():
-        coeffs[pg] = Func._of(product, vals)
-    return product, CrossedElement(product, coeffs)

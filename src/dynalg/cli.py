@@ -134,9 +134,11 @@ def format_scalar(v):
 
 def _load_json(path: str):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8 text: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise ParseError("bad JSON in %s at line %d: %s" % (path, exc.lineno, exc.msg))
 
@@ -160,12 +162,6 @@ def parse_system(payload) -> DynSystem:
         raise ParseError("system tables must be lists of rows: %s" % exc)
     group = FiniteGroup(elements, table)
     return DynSystem(group, points, action)
-
-
-def load_system(path: str) -> DynSystem:
-    sys_obj = parse_system(_load_json(path))
-    validate_system(sys_obj)
-    return sys_obj
 
 
 def parse_func(sys_obj: DynSystem, payload, float_mode: bool = False) -> Func:
@@ -390,7 +386,10 @@ def _report(command, args, inputs, result, certificates=None, margins=None, star
 def _emit(report, args) -> int:
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.json_out:
-        Path(args.json_out).write_text(text + "\n")
+        try:
+            Path(args.json_out).write_text(text + "\n")
+        except OSError as exc:
+            raise ParseError("cannot write %s: %s" % (args.json_out, exc))
     print(text)
     return 0
 

@@ -553,7 +553,7 @@ def cuntz_oracle(
     """
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.system is not mb.system:
-        raise ValueError("inputs over different systems")
+        raise SystemMismatch("inputs over different systems")
     if not ma.system.is_free:
         raise NotFree("the rank oracle requires a free action")
     _check_positive(a, tol)

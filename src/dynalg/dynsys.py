@@ -174,9 +174,6 @@ class DynSystem:
     def n_points(self) -> int:
         return len(self.points)
 
-    def apply(self, g: int, x: int) -> int:
-        return self.act[g][x]
-
     def point_index(self, label: str) -> int:
         return self._point_index[label]
 
@@ -216,13 +213,6 @@ class DynSystem:
     @cached_property
     def is_minimal(self) -> bool:
         return len(self.orbit_partition) == 1
-
-    def transporter(self, x: int, y: int) -> Optional[int]:
-        """Least g with g.x = y, or None if x, y lie in different orbits."""
-        for g in range(self.group.order):
-            if self.act[g][x] == y:
-                return g
-        return None
 
     # -- stock constructions -------------------------------------------
 

@@ -9,28 +9,30 @@ closed form in the coefficients: the u_k coefficient of b* chi_x c is
 
 so a is an r-normalizer exactly when, for every point x, these sums
 vanish for every k != e and every point.  The predicates evaluate the
-sums directly, with no crossed products.  For free actions the one-sided
-condition is equivalent to the coefficient supports being pairwise
-disjoint, and the matrix version has an entrywise criterion, a per-row
-support criterion, and a reduction to a single element over the
-product-with-cyclic system; the implementations are kept separate so
-tests can demand agreement.
+sums directly, with no crossed products.  A matrix amplification is
+decided entrywise: every entry is an r-normalizer, and two entries of one
+row give zero against every point indicator.
+
+For free actions the one-sided condition is equivalent to the
+coefficient supports being pairwise disjoint
+(``coefficient_supports_disjoint``).  The test suite keeps that
+criterion, a per-row support criterion for matrices and the reduction of
+a matrix to one element over the product-with-cyclic system as
+independent oracles, and requires the predicates here to agree with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .algebra import CrossedElement, MatrixElement, Scalar, to_product_element
-from .dynsys import DynSystem
-from .errors import HypothesisViolated, InvariantViolation, NotFree
+from .algebra import CrossedElement, MatrixElement, Scalar
+from .errors import HypothesisViolated, InvariantViolation
 
 __all__ = [
     "is_normalizer",
     "is_r_normalizer",
     "is_s_normalizer",
-    "is_r_normalizer_by_support",
     "coefficient_supports_disjoint",
     "matrix_is_r_normalizer",
     "orthogonal_sum",
@@ -119,14 +121,12 @@ def coefficient_supports_disjoint(a: CrossedElement) -> bool:
     return True
 
 
-def is_r_normalizer_by_support(a: CrossedElement) -> bool:
-    """Support characterization of r-normalizers; valid for free actions only."""
-    if not a.system.is_free:
-        raise NotFree("the support criterion requires a free action")
-    return coefficient_supports_disjoint(a)
+def matrix_is_r_normalizer(x: MatrixElement) -> bool:
+    """r-normalizer test for matrix amplifications.
 
-
-def _matrix_entrywise(x: MatrixElement) -> bool:
+    Each entry must be an r-normalizer, and any two entries x_ki, x_kj
+    (i < j) of one row must satisfy x_ki* chi_p x_kj = 0 at every point p.
+    """
     n = x.n
     for i in range(n):
         for j in range(n):
@@ -145,48 +145,6 @@ def _matrix_entrywise(x: MatrixElement) -> bool:
                     if not _point_product_vanishes(left, right, p, diagonal_allowed=False):
                         return False
     return True
-
-
-def _matrix_row_supports(x: MatrixElement) -> bool:
-    if not x.system.is_free:
-        raise NotFree("the support criterion requires a free action")
-    for i in range(x.n):
-        seen: set[int] = set()
-        for j in range(x.n):
-            entry = x.entries[i][j]
-            for g in entry.nonzero_groups:
-                supp = entry.coeffs[g].support
-                if seen & supp:
-                    return False
-                seen |= supp
-    return True
-
-
-def _matrix_product_reduction(x: MatrixElement, product: Optional[DynSystem]) -> bool:
-    _, y = to_product_element(x, product)
-    return is_r_normalizer(y)
-
-
-def matrix_is_r_normalizer(
-    x: MatrixElement,
-    method: str = "entrywise",
-    product: Optional[DynSystem] = None,
-) -> bool:
-    """r-normalizer test for matrix amplifications.
-
-    ``method`` selects the route: "entrywise" (each entry an r-normalizer
-    and row-wise entry orthogonality against every indicator), "support"
-    (per-row disjointness of all coefficient supports; free actions
-    only), or "product" (transport to the product-with-cyclic system and
-    test there).  The three must agree on free systems.
-    """
-    if method == "entrywise":
-        return _matrix_entrywise(x)
-    if method == "support":
-        return _matrix_row_supports(x)
-    if method == "product":
-        return _matrix_product_reduction(x, product)
-    raise ValueError("unknown method %r" % method)
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,7 @@ def compile_witness(
         entries[k][i] = entries[k][i] + CrossedElement.monomial(coeff, s)
     t = MatrixElement(sys, entries)
 
-    if not matrix_is_r_normalizer(t, method="entrywise"):
+    if not matrix_is_r_normalizer(t):
         raise InvalidWitness("compiled matrix fails the r-normalizer predicate")
     bcut = b.cutdown(delta).padded(n).to_matrix()
     lhs = (t.adjoint() * bcut) * t
@@ -185,7 +185,7 @@ def extract_witness(
     sys = a.system
     if t.n < max(len(a), len(b)):
         raise PreconditionFailed("t is %d x %d, smaller than the tuples" % (t.n, t.n))
-    if not matrix_is_r_normalizer(t, method="entrywise"):
+    if not matrix_is_r_normalizer(t):
         raise PreconditionFailed("t is not a matrix r-normalizer")
     n = t.n
     acut = a.cutdown(eps)

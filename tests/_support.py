@@ -22,8 +22,11 @@ from dynalg import (
     RadScalar,
     Witness,
     as_scalar,
+    coefficient_supports_disjoint,
     extreme_invariant_measures,
+    is_r_normalizer,
     operator_norm,
+    product_with_cyclic,
     validate_system,
 )
 from dynalg.scalars import ZERO
@@ -407,6 +410,67 @@ def indicator_matrix_entrywise(m: MatrixElement) -> bool:
                     if not point_product(row[i], row[j], x).is_zero:
                         return False
     return True
+
+
+def is_r_normalizer_by_support(a: CrossedElement) -> bool:
+    """Support characterization of r-normalizers; valid for free actions only."""
+    if not a.system.is_free:
+        raise NotFree("the support criterion requires a free action")
+    return coefficient_supports_disjoint(a)
+
+
+def matrix_row_supports(m: MatrixElement) -> bool:
+    """Matrix r-normalizer test for free actions: within each row, the
+    coefficient supports of all entries are pairwise disjoint."""
+    if not m.system.is_free:
+        raise NotFree("the support criterion requires a free action")
+    for row in m.entries:
+        seen: set[int] = set()
+        for entry in row:
+            for g in entry.nonzero_groups:
+                supp = entry.coeffs[g].support
+                if seen & supp:
+                    return False
+                seen |= supp
+    return True
+
+
+def to_product_element(m: MatrixElement, product=None) -> tuple:
+    """Identify M_n (x) (C(X) x G) with the crossed product of the product action.
+
+    The matrix m with entries m_ij = sum_g m_{i,j,g} u_g maps to
+
+        y = sum_g sum_{i,j} (chi_{i} (x) m_{i,j,g}) u_{(i-j, g)}
+
+    over (Z/n x G) acting on {0..n-1} x X.  The identification is a
+    *-isomorphism carrying the diagonal subalgebra onto C of the product
+    space.  Returns (product system, y).
+    """
+    n = m.n
+    sys = m.system
+    if product is None:
+        product = product_with_cyclic(sys, n)
+    ng, nx = sys.group.order, sys.n_points
+    coeff_values: dict[int, dict] = {}
+    for i in range(n):
+        for j in range(n):
+            entry = m.entries[i][j]
+            d = (i - j) % n
+            for g in entry.nonzero_groups:
+                vals = coeff_values.setdefault(d * ng + g, {})
+                f = entry.coeffs[g]
+                for p in f.support:
+                    vals[i * nx + p] = f(p)
+    coeffs = [Func.zero(product)] * product.group.order
+    for pg, vals in coeff_values.items():
+        coeffs[pg] = Func.from_dict(product, vals)
+    return product, CrossedElement(product, coeffs)
+
+
+def matrix_product_reduction(m: MatrixElement, product=None) -> bool:
+    """Matrix r-normalizer test by transport to the product-with-cyclic
+    system, where m becomes a single element."""
+    return is_r_normalizer(to_product_element(m, product)[1])
 
 
 def dense_regular_rep(a: CrossedElement) -> np.ndarray:

@@ -32,7 +32,6 @@ from dynalg import (
     extract_witness,
     identity_embedding,
     is_r_normalizer,
-    is_r_normalizer_by_support,
     matrix_is_r_normalizer,
     orbit_castle,
     product_with_cyclic,
@@ -46,6 +45,9 @@ from dynalg import (
 
 from _support import (
     brute_force_subequivalence,
+    is_r_normalizer_by_support,
+    matrix_product_reduction,
+    matrix_row_supports,
     random_element,
     random_disjoint_support_element,
     random_free_system,
@@ -106,9 +108,9 @@ def test_criterion_02_matrix_criterion_equivalence():
         if key not in products:
             products[key] = product_with_cyclic(sys, n)
         m = random_matrix(rng, sys, n, density=0.35)
-        e = matrix_is_r_normalizer(m, "entrywise")
-        s = matrix_is_r_normalizer(m, "support")
-        p = matrix_is_r_normalizer(m, "product", product=products[key])
+        e = matrix_is_r_normalizer(m)
+        s = matrix_row_supports(m)
+        p = matrix_product_reduction(m, products[key])
         if not (e == s == p):
             disagreements += 1
         checked += 1
@@ -162,7 +164,7 @@ def test_criterion_03_and_04_compiler_exactness_and_oracle():
         # compile_witness verifies the r-normalizer predicate and the exact
         # identity internally; any failure raises
         cert = compile_witness(a, b, eps, w)
-        if not matrix_is_r_normalizer(cert.t, "entrywise"):
+        if not matrix_is_r_normalizer(cert.t):
             failures += 1
         w2 = extract_witness(a, b, eps, cert.delta, cert.t)
         if not check_witness(sys, a.cutdown(eps).supports(), b.supports(), w2):

@@ -23,7 +23,6 @@ from dynalg import (
     point_block,
     pos_cutdown,
     regular_rep,
-    to_product_element,
 )
 
 from _support import (
@@ -34,6 +33,7 @@ from _support import (
     random_element,
     random_free_system,
     random_matrix,
+    to_product_element,
 )
 
 
@@ -530,13 +530,6 @@ def test_to_product_element_diagonal_lands_in_diagonal(z2):
     m = MatrixElement.diag(z2, (chi(z2, {0}), chi(z2, {1})))
     _, y = to_product_element(m)
     assert y.in_diagonal
-
-
-def test_norm_float_mode(z3):
-    res = operator_norm(CrossedElement.zero(z3), mode="float")
-    assert res.value == 0.0
-    with pytest.raises(ValueError):
-        operator_norm(CrossedElement.unit(z3), mode="bogus")
 
 
 def test_float_scalar_lane(z3):

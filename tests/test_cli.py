@@ -543,3 +543,38 @@ def test_bad_tolerance_and_budget_rejected(capsys, z2_file):
         capsys, ["system-check", "--system", z2_file, "--tolerance", "0", "--budget", "0"]
     )
     assert code == 0 and json.loads(out)["params"]["tolerance"] == 0.0
+
+
+def _single_error(err):
+    """The one JSON error object on standard error."""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    obj = json.loads(lines[0])
+    assert set(obj) == {"error", "message"}
+    return obj
+
+
+def test_non_utf8_input_rejected(capsys, tmp_path, z3_file):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    for argv in (
+        ["system-check", "--system", str(bad)],
+        ["compare", "--system", z3_file, "--a", "@" + str(bad), "--b", "chi:0"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        obj = _single_error(err)
+        assert obj["error"] == "ParseError"
+        assert str(bad) in obj["message"]
+
+
+def test_unwritable_json_out_rejected(capsys, tmp_path, z3_file):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, ["system-check", "--system", z3_file, "--json", str(target)]
+    )
+    assert code == 1 and out == ""
+    obj = _single_error(err)
+    assert obj["error"] == "ParseError"
+    assert str(target) in obj["message"]
+    assert not target.exists()

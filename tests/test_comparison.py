@@ -505,6 +505,11 @@ def test_oracle_requires_free(fixed_point_system):
         cuntz_oracle(a, a)
 
 
+def test_oracle_rejects_different_systems(z2, z3):
+    with pytest.raises(SystemMismatch):
+        cuntz_oracle(chi_tuple(z2, {0}), chi_tuple(z3, {0}))
+
+
 def test_oracle_on_crossed_elements(z3):
     a = CrossedElement.from_func(Func.indicator(z3, {0}))
     b = CrossedElement.unit(z3)

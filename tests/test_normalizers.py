@@ -24,7 +24,6 @@ from dynalg import (
     identity_embedding,
     is_normalizer,
     is_r_normalizer,
-    is_r_normalizer_by_support,
     is_s_normalizer,
     matrix_is_r_normalizer,
     orthogonal_sum,
@@ -34,6 +33,9 @@ from _support import (
     COEFF_POOL,
     indicator_matrix_entrywise,
     indicator_r_normalizer,
+    is_r_normalizer_by_support,
+    matrix_product_reduction,
+    matrix_row_supports,
     point_product,
     quotient_system,
     random_disjoint_support_element,
@@ -248,7 +250,7 @@ def test_matrix_entrywise_matches_indicator_oracle(fixed_point_system):
                     [matrix_entry(rng, sys, pool) for _ in range(n)] for _ in range(n)
                 ])
                 expected = outcome(indicator_matrix_entrywise, m)
-                assert outcome(matrix_is_r_normalizer, m, "entrywise") == expected
+                assert outcome(matrix_is_r_normalizer, m) == expected
                 seen.add(expected)
     assert seen == {True, False, RadicalAdditionMismatch}
 
@@ -330,26 +332,26 @@ def test_normalizer_squares_in_cx():
 
 def test_diagonal_cx_matrix_is_r(z2):
     m = MatrixElement.diag(z2, (chi(z2, {0}), chi(z2, {0, 1})))
-    assert matrix_is_r_normalizer(m, "entrywise")
-    assert matrix_is_r_normalizer(m, "support")
-    assert matrix_is_r_normalizer(m, "product")
+    assert matrix_is_r_normalizer(m)
+    assert matrix_row_supports(m)
+    assert matrix_product_reduction(m)
 
 
 def test_row_overlap_fails(z2):
     a = mono(z2, {0}, 0)
     z = CrossedElement.zero(z2)
     m = MatrixElement(z2, ((a, a), (z, z)))
-    assert not matrix_is_r_normalizer(m, "entrywise")
-    assert not matrix_is_r_normalizer(m, "support")
-    assert not matrix_is_r_normalizer(m, "product")
+    assert not matrix_is_r_normalizer(m)
+    assert not matrix_row_supports(m)
+    assert not matrix_product_reduction(m)
 
 
 def test_row_disjoint_passes(z2):
     z = CrossedElement.zero(z2)
     m = MatrixElement(z2, ((mono(z2, {0}, 0), mono(z2, {1}, 0)), (z, z)))
-    assert matrix_is_r_normalizer(m, "entrywise")
-    assert matrix_is_r_normalizer(m, "support")
-    assert matrix_is_r_normalizer(m, "product")
+    assert matrix_is_r_normalizer(m)
+    assert matrix_row_supports(m)
+    assert matrix_product_reduction(m)
 
 
 def test_matrix_criteria_agree_randomized():
@@ -361,9 +363,9 @@ def test_matrix_criteria_agree_randomized():
         n = rng.randint(1, 3)
         prod = product_with_cyclic(sys, n)
         m = random_matrix(rng, sys, n)
-        e = matrix_is_r_normalizer(m, "entrywise")
-        s = matrix_is_r_normalizer(m, "support")
-        p = matrix_is_r_normalizer(m, "product", product=prod)
+        e = matrix_is_r_normalizer(m)
+        s = matrix_row_supports(m)
+        p = matrix_product_reduction(m, prod)
         assert e == s == p
 
 

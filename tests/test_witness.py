@@ -17,14 +17,13 @@ from dynalg import (
     compile_witness,
     cuntz_oracle,
     extract_witness,
-    is_r_normalizer_by_support,
     matrix_is_r_normalizer,
     prop_equivalence_suite,
     search_subequivalence,
     single_row_rnormalizer,
 )
 
-from _support import random_free_system
+from _support import is_r_normalizer_by_support, matrix_row_supports, random_free_system
 
 
 def chi_tuple(sys, *subsets):
@@ -53,8 +52,8 @@ def test_compile_standard_z3_instance(z3):
     w = Witness((((frozenset({0}), 1, 0),),))
     cert = compile_witness(a, b, Fraction(1, 2), w)
     assert cert.delta == Fraction(1, 2)
-    assert matrix_is_r_normalizer(cert.t, "entrywise")
-    assert matrix_is_r_normalizer(cert.t, "support")
+    assert matrix_is_r_normalizer(cert.t)
+    assert matrix_row_supports(cert.t)
     # t = (1/sqrt(1-delta)) sqrt(1/2) (translate term): single entry
     entry = cert.t.entries[0][0]
     assert entry.nonzero_groups == (1,)
@@ -164,8 +163,8 @@ def test_compile_exactness_randomized():
             continue
         done += 1
         cert = compile_witness(a, b, eps, w)  # verifies the identity internally
-        assert matrix_is_r_normalizer(cert.t, "entrywise")
-        assert matrix_is_r_normalizer(cert.t, "support")
+        assert matrix_is_r_normalizer(cert.t)
+        assert matrix_row_supports(cert.t)
         w2 = extract_witness(a, b, eps, cert.delta, cert.t)
         assert check_witness(sys, acut.supports(), b.supports(), w2)
         assert cuntz_oracle(a.cutdown(eps), b)
