@@ -262,16 +262,6 @@ class Func:
             for v in self.sparse.values()
         )
 
-    def max_value(self) -> Scalar:
-        """Maximum of a positive function (zero for the zero function)."""
-        if not self.is_positive:
-            raise NotPositive("max of a non-positive function")
-        best = ZERO
-        for x in self.support:
-            if self.sparse[x].real_cmp(best) > 0:
-                best = self.sparse[x]
-        return best
-
     def __eq__(self, other):
         if not isinstance(other, Func):
             return NotImplemented
@@ -482,9 +472,6 @@ class MatrixElement:
             rows.append(tuple(row))
         return cls(system, rows)
 
-    def entry(self, i: int, j: int) -> CrossedElement:
-        return self.entries[i][j]
-
     def __add__(self, other: "MatrixElement") -> "MatrixElement":
         if self.n != other.n:
             raise ValueError("size mismatch")
@@ -605,11 +592,6 @@ class DiagTuple:
             raise ValueError("cannot pad to a smaller size")
         z = Func.zero(self.system)
         return DiagTuple(self.system, self.entries + (z,) * (n - len(self.entries)))
-
-    def direct_sum(self, other: "DiagTuple") -> "DiagTuple":
-        if self.system is not other.system:
-            raise SystemMismatch("tuples over different systems")
-        return DiagTuple(self.system, self.entries + other.entries)
 
     def to_matrix(self, n: Optional[int] = None) -> MatrixElement:
         return MatrixElement.diag(self.system, self.entries, n)

@@ -285,27 +285,10 @@ class OrderZeroMap:
         z = CrossedElement.zero(system)
         return cls(system, n, {(i, j): z for i in range(n) for j in range(n)})
 
-    def image(self, i: int, j: int) -> CrossedElement:
-        return self.images[(i, j)]
-
     def unit_image(self) -> CrossedElement:
         acc = CrossedElement.zero(self.system)
         for i in range(self.n):
             acc = acc + self.images[(i, i)]
-        return acc
-
-    def apply(self, coefficients) -> CrossedElement:
-        """Linear extension to a scalar matrix."""
-        acc = CrossedElement.zero(self.system)
-        for i in range(self.n):
-            for j in range(self.n):
-                c = coefficients[i][j]
-                img = self.images[(i, j)]
-                if img.is_zero:
-                    continue
-                term = img.scaled(c)
-                if not term.is_zero:
-                    acc = acc + term
         return acc
 
     def __eq__(self, other):

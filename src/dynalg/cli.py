@@ -6,6 +6,24 @@ deterministic: identical inputs produce byte-identical output except for
 the ``runtime_s`` field.  Exit code 0 means a result was computed (even
 when the mathematical verdict is false); nonzero is reserved for errors.
 
+Every request takes one path, through ``main``:
+
+1. parse the arguments;
+2. check the flags that need no file: ``--tolerance`` and ``--budget``,
+   then ``--max-n`` for ``semigroup`` and ``compare --semigroup``;
+3. start the timer;
+4. load, parse and validate the system file;
+5. run the command's handler, which reads its other files and computes;
+6. build the report and write it, to the ``--json`` file first, then to
+   standard output.
+
+The report's fields are ``command``; ``inputs.digest``, the SHA-256 of
+the canonical JSON of the inputs; ``params`` (``mode`` and
+``tolerance``); ``result``; ``certificates``; ``margins``, the float
+margins of a stability check; and ``runtime_s``, the seconds from step 3
+to step 6.  An error at any step prints one ``{"error", "message"}``
+object on standard error and exits 1, with nothing on standard output.
+
 File formats
 ------------
 
@@ -63,6 +81,7 @@ from .comparison import (
     cuntz_oracle,
     d_tau,
     diag_subequivalent,
+    search_subequivalence,
     type_semigroup,
 )
 from .dynsys import DynSystem, FiniteGroup, extreme_invariant_measures, validate_system
@@ -367,55 +386,29 @@ def _digest(parts) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _report(command, args, inputs, result, certificates=None, margins=None, started=None):
-    report = {
-        "command": command,
-        "inputs": {"digest": _digest(inputs)},
-        "params": {
-            "mode": "float" if args.float_mode else "exact",
-            "tolerance": args.tolerance,
-        },
-        "result": result,
-        "certificates": certificates or {},
-        "margins": margins or {},
-        "runtime_s": round(time.perf_counter() - started, 6) if started else 0.0,
-    }
-    return report
-
-
-def _emit(report, args) -> int:
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.json_out:
-        try:
-            Path(args.json_out).write_text(text + "\n")
-        except OSError as exc:
-            raise ParseError("cannot write %s: %s" % (args.json_out, exc))
-    print(text)
-    return 0
-
-
-# -- command handlers ------------------------------------------------------
-
-
-def _check_max_n(args) -> None:
-    if args.max_n < 0:
-        raise ParseError("--max-n must be nonnegative, got %d" % args.max_n)
-
-
-def _check_tolerance_and_budget(args) -> None:
+def _check_flags(args) -> None:
+    """The checks that read no file: tolerance and budget, then ``--max-n``
+    where a semigroup table is built."""
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ParseError(
             "--tolerance must be finite and nonnegative, got %r" % args.tolerance
         )
     if args.budget < 0:
         raise ParseError("--budget must be nonnegative, got %d" % args.budget)
+    if (args.command == "semigroup" or getattr(args, "semigroup", False)) and args.max_n < 0:
+        raise ParseError("--max-n must be nonnegative, got %d" % args.max_n)
 
 
-def cmd_system_check(args) -> int:
-    started = time.perf_counter()
-    payload = _load_json(args.system)
-    sys_obj = parse_system(payload)
-    rep = validate_system(sys_obj)
+# -- command handlers ------------------------------------------------------
+#
+# ``main`` has loaded, parsed and validated the system file before a
+# handler runs.  A handler gets the arguments, the system, the system
+# file's payload and the system's validation report, and returns
+# ``(command, inputs, result, certificates, margins)``; ``main`` builds the
+# report from them and writes it.
+
+
+def cmd_system_check(args, sys_obj, payload, rep):
     measures = extreme_invariant_measures(sys_obj)
     result = {
         "group_order": rep.group_order,
@@ -427,16 +420,10 @@ def cmd_system_check(args) -> int:
             [str(w) for w in mu.weights] for mu in measures
         ],
     }
-    return _emit(_report("system-check", args, payload, result, started=started), args)
+    return "system-check", payload, result, {}, {}
 
 
-def cmd_compare(args) -> int:
-    started = time.perf_counter()
-    if args.semigroup:
-        _check_max_n(args)
-    payload = _load_json(args.system)
-    sys_obj = parse_system(payload)
-    validate_system(sys_obj)
+def cmd_compare(args, sys_obj, payload, rep):
     a = parse_diag_tuple(sys_obj, args.a, args.float_mode)
     b = parse_diag_tuple(sys_obj, args.b, args.float_mode)
     holds, w = diag_subequivalent(a, b)
@@ -462,18 +449,13 @@ def cmd_compare(args) -> int:
             "class_of_b": W.class_of(b),
         }
     inputs = {"system": payload, "a": args.a, "b": args.b}
-    return _emit(
-        _report("compare", args, inputs, result, certificates, started=started), args
-    )
+    return "compare", inputs, result, certificates, {}
 
 
-def cmd_witness(args) -> int:
-    started = time.perf_counter()
-    payload = _load_json(args.system)
-    sys_obj = parse_system(payload)
-    validate_system(sys_obj)
+def cmd_witness(args, sys_obj, payload, rep):
     a = parse_diag_tuple(sys_obj, args.a, args.float_mode)
     b = parse_diag_tuple(sys_obj, args.b, args.float_mode)
+    command = "witness-" + args.verb
     inputs = {"system": payload, "a": args.a, "b": args.b, "verb": args.verb}
     certificates = {}
     if args.verb == "extract":
@@ -484,24 +466,17 @@ def cmd_witness(args) -> int:
         )
         w = extract_witness(a, b, eps, delta, t)
         certificates["witness"] = witness_payload(sys_obj, w)
-        result = {"extracted": True}
-        return _emit(
-            _report("witness-extract", args, inputs, result, certificates, started=started),
-            args,
-        )
+        return command, inputs, {"extracted": True}, certificates, {}
 
     eps = parse_fraction(args.epsilon)
     if args.witness_file:
         w = parse_witness(sys_obj, _load_json(args.witness_file))
     else:
-        from .comparison import search_subequivalence
-
         w = search_subequivalence(
             sys_obj, a.cutdown(eps).supports(), b.supports()
         )
         if w is None:
-            result = {"compiled": False, "reason": "no witness exists"}
-            return _emit(_report("witness-" + args.verb, args, inputs, result, started=started), args)
+            return command, inputs, {"compiled": False, "reason": "no witness exists"}, {}, {}
     cert = compile_witness(a, b, eps, w)
     certificates["certificate"] = {
         "epsilon": str(cert.epsilon),
@@ -515,51 +490,28 @@ def cmd_witness(args) -> int:
         w2 = extract_witness(a, b, cert.epsilon, cert.delta, cert.t)
         certificates["witness"] = witness_payload(sys_obj, w2)
         result["roundtrip"] = True
-    return _emit(
-        _report("witness-" + args.verb, args, inputs, result, certificates, started=started),
-        args,
-    )
+    return command, inputs, result, certificates, {}
 
 
-def cmd_castle(args) -> int:
-    started = time.perf_counter()
-    payload = _load_json(args.system)
-    sys_obj = parse_system(payload)
-    validate_system(sys_obj)
+# the file flag each castle verb needs
+_CASTLE_FILE_FLAG = {"validate": "castle", "build-ozm": "data", "decompose": "data", "tzs": "instance"}
+
+
+def cmd_castle(args, sys_obj, payload, rep):
+    flag = _CASTLE_FILE_FLAG[args.verb]
+    if not getattr(args, flag):
+        raise ParseError("castle %s needs --%s" % (args.verb, flag))
+    given = _load_json(getattr(args, flag))
     inputs = {"system": payload, "verb": args.verb}
     certificates = {}
     margins = {}
     if args.verb == "validate":
-        if not args.castle:
-            raise ParseError("castle validate needs --castle")
-        castle = parse_castle(sys_obj, _load_json(args.castle))
+        castle = parse_castle(sys_obj, given)
         inputs["castle"] = castle_payload(castle)
         result = {"valid": validate_castle(castle)}
-    elif args.verb == "build-ozm":
-        if not args.data:
-            raise ParseError("castle build-ozm needs --data")
-        data = parse_ozm_data(sys_obj, _load_json(args.data), args.float_mode)
-        inputs["data"] = ozm_data_payload(data)
-        phi = build_castle_ozm(data)
-        certificates["map"] = ozm_payload(phi)
-        result = {
-            "built": True,
-            "unit_image_norm": operator_norm(phi.unit_image()).value,
-        }
-    elif args.verb == "decompose":
-        if not args.data:
-            raise ParseError("castle decompose needs --data")
-        data = parse_ozm_data(sys_obj, _load_json(args.data), args.float_mode)
-        inputs["data"] = ozm_data_payload(data)
-        phi = build_castle_ozm(data)
-        recovered = decompose_ozm(phi)
-        certificates["data"] = ozm_data_payload(recovered)
-        result = {"decomposed": True, "towers": len(recovered.castle.towers)}
     elif args.verb == "tzs":
-        if not args.instance:
-            raise ParseError("castle tzs needs --instance")
-        inst = parse_tzs_instance(sys_obj, _load_json(args.instance), args.float_mode)
-        inputs["instance"] = _load_json(args.instance)
+        inst = parse_tzs_instance(sys_obj, given, args.float_mode)
+        inputs["instance"] = given
         if args.identity:
             phi = identity_embedding(sys_obj)
         elif args.data:
@@ -585,27 +537,31 @@ def cmd_castle(args) -> int:
             certificates["remainder_witness"] = witness_payload(
                 sys_obj, report.remainder_witness
             )
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ParseError("unknown castle verb %r" % args.verb)
-    return _emit(
-        _report("castle-" + args.verb, args, inputs, result, certificates, margins, started),
-        args,
-    )
+    else:
+        data = parse_ozm_data(sys_obj, given, args.float_mode)
+        inputs["data"] = ozm_data_payload(data)
+        phi = build_castle_ozm(data)
+        if args.verb == "build-ozm":
+            certificates["map"] = ozm_payload(phi)
+            result = {
+                "built": True,
+                "unit_image_norm": operator_norm(phi.unit_image()).value,
+            }
+        else:
+            recovered = decompose_ozm(phi)
+            certificates["data"] = ozm_data_payload(recovered)
+            result = {"decomposed": True, "towers": len(recovered.castle.towers)}
+    return "castle-" + args.verb, inputs, result, certificates, margins
 
 
-def cmd_semigroup(args) -> int:
-    started = time.perf_counter()
-    _check_max_n(args)
-    payload = _load_json(args.system)
-    sys_obj = parse_system(payload)
-    validate_system(sys_obj)
+def cmd_semigroup(args, sys_obj, payload, rep):
     W = type_semigroup(sys_obj, args.max_n, budget=args.budget)
     unperforated, violation = almost_unperforation_check(W)
     result = {
         "max_n": args.max_n,
         "classes": [
-            [sorted(sys_obj.points[x] for x in f.support) for f in rep.entries]
-            for rep in W.classes
+            [sorted(sys_obj.points[x] for x in f.support) for f in cls.entries]
+            for cls in W.classes
         ],
         "order": [[bool(v) for v in row] for row in W.order],
         "addition": [
@@ -615,7 +571,7 @@ def cmd_semigroup(args) -> int:
         "violation": list(violation) if violation else None,
     }
     inputs = {"system": payload, "max_n": args.max_n}
-    return _emit(_report("semigroup", args, inputs, result, started=started), args)
+    return "semigroup", inputs, result, {}, {}
 
 
 # -- parser ----------------------------------------------------------------
@@ -639,8 +595,15 @@ def build_parser() -> argparse.ArgumentParser:
             "--float", dest="float_mode", action="store_true",
             help="parse scalars as floats (exploratory mode)",
         )
-        p.add_argument("--tolerance", type=float, default=1e-9)
-        p.add_argument("--budget", type=int, default=500_000)
+        p.add_argument(
+            "--tolerance", type=float, default=1e-9,
+            help="float tolerance of compare --oracle; every other float "
+            "decision uses 1e-9",
+        )
+        p.add_argument(
+            "--budget", type=int, default=500_000,
+            help="cap on the type-semigroup enumeration (semigroup, compare --semigroup)",
+        )
         p.add_argument("--json", dest="json_out", default=None, help="also write the report here")
 
     p = sub.add_parser("system-check", help="validate a system file")
@@ -694,8 +657,37 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _check_tolerance_and_budget(args)
-        return args.handler(args)
+        _check_flags(args)
+        started = time.perf_counter()
+        payload = _load_json(args.system)
+        sys_obj = parse_system(payload)
+        rep = validate_system(sys_obj)
+        command, inputs, result, certificates, margins = args.handler(
+            args, sys_obj, payload, rep
+        )
+        text = json.dumps(
+            {
+                "command": command,
+                "inputs": {"digest": _digest(inputs)},
+                "params": {
+                    "mode": "float" if args.float_mode else "exact",
+                    "tolerance": args.tolerance,
+                },
+                "result": result,
+                "certificates": certificates,
+                "margins": margins,
+                "runtime_s": round(time.perf_counter() - started, 6),
+            },
+            sort_keys=True,
+            indent=2,
+        )
+        if args.json_out:
+            try:
+                Path(args.json_out).write_text(text + "\n")
+            except OSError as exc:
+                raise ParseError("cannot write %s: %s" % (args.json_out, exc))
+        print(text)
+        return 0
     except DynalgError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),

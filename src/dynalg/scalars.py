@@ -73,10 +73,6 @@ class RadScalar:
         return ONE
 
     @classmethod
-    def i(cls) -> "RadScalar":
-        return cls(0, 1)
-
-    @classmethod
     def sqrt_of(cls, value) -> "RadScalar":
         """Exact square root of a nonnegative rational."""
         value = Fraction(value)

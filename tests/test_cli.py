@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -578,3 +579,106 @@ def test_unwritable_json_out_rejected(capsys, tmp_path, z3_file):
     assert obj["error"] == "ParseError"
     assert str(target) in obj["message"]
     assert not target.exists()
+
+
+# -- error precedence and input reads ----------------------------------------------------
+
+
+def _expected_error(error, message):
+    return json.dumps({"error": error, "message": message}) + "\n"
+
+
+def test_error_precedence(capsys, tmp_path, z2_file, z3_file):
+    # flag checks come before any file is read: tolerance and budget
+    # first, then --max-n (semigroup always, compare only with
+    # --semigroup); a missing file flag is reported only after the system
+    # file has loaded and validated
+    missing = str(tmp_path / "missing.json")
+    no_file = "cannot read %s: [Errno 2] No such file or directory: %r" % (missing, missing)
+    inst = str(tmp_path / "inst.json")
+    Path(inst).write_text(json.dumps({"n": 3, "epsilon": "1/10", "F": [], "h": [["0", "1"]]}))
+    bad_tolerance = "--tolerance must be finite and nonnegative, got nan"
+    cases = [
+        (["semigroup", "--system", missing, "--max-n", "-1"],
+         ("ParseError", "--max-n must be nonnegative, got -1")),
+        (["semigroup", "--system", missing, "--max-n", "-1", "--budget", "-1"],
+         ("ParseError", "--budget must be nonnegative, got -1")),
+        (["compare", "--system", missing, "--a", "chi:0", "--b", "chi:1",
+          "--semigroup", "--max-n", "-1"],
+         ("ParseError", "--max-n must be nonnegative, got -1")),
+        (["castle", "validate", "--system", missing], ("ParseError", no_file)),
+        (["witness", "extract", "--system", missing, "--a", "chi:0", "--b", "chi:1"],
+         ("ParseError", no_file)),
+        (["castle", "validate", "--system", z2_file],
+         ("ParseError", "castle validate needs --castle")),
+        (["castle", "build-ozm", "--system", z2_file],
+         ("ParseError", "castle build-ozm needs --data")),
+        (["castle", "decompose", "--system", z2_file],
+         ("ParseError", "castle decompose needs --data")),
+        (["castle", "tzs", "--system", z2_file],
+         ("ParseError", "castle tzs needs --instance")),
+        (["castle", "tzs", "--system", z3_file, "--instance", inst],
+         ("ParseError", "castle tzs needs --data or --identity")),
+        (["castle", "tzs", "--system", z3_file, "--instance", missing],
+         ("ParseError", no_file)),
+        (["witness", "extract", "--system", z2_file, "--a", "chi:0", "--b", "chi:1"],
+         ("ParseError", "witness extract needs --certificate")),
+        (["system-check", "--system", missing, "--tolerance", "nan"],
+         ("ParseError", bad_tolerance)),
+        (["semigroup", "--system", missing, "--max-n", "-1", "--tolerance", "nan"],
+         ("ParseError", bad_tolerance)),
+    ]
+    for argv, expected in cases:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (1, "", _expected_error(*expected)), argv
+    code, out, err = run_cli(
+        capsys, ["compare", "--system", z2_file, "--a", "chi:0", "--b", "chi:1", "--max-n", "-1"]
+    )
+    assert code == 0 and err == "" and json.loads(out)["result"]["subequivalent"] is True
+
+
+def test_each_input_file_read_once(capsys, tmp_path, monkeypatch, z3_file):
+    reads = []
+    load_json = dynalg.cli._load_json
+
+    def counting(path):
+        reads.append(path)
+        return load_json(path)
+
+    monkeypatch.setattr(dynalg.cli, "_load_json", counting)
+    func = tmp_path / "f.json"
+    func.write_text(json.dumps([["0", "1/2"]]))
+    castle = tmp_path / "castle.json"
+    castle.write_text(json.dumps({"towers": [{"base": ["0"], "shape": ["0", "1", "2"]}]}))
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({
+        "towers": [{"base": ["0"], "shape": ["0", "1", "2"]}], "n": 3, "weights": [[["0", "1"]]],
+    }))
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 3, "epsilon": "1/10", "F": [], "h": [["0", "1"]]}))
+    tuples = ["--system", z3_file, "--a", "chi:0", "--b", "chi:1,2"]
+
+    def run(argv, files):
+        reads.clear()
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0, argv
+        assert sorted(reads) == sorted([z3_file] + [str(f) for f in files]), argv
+        return json.loads(out)
+
+    report = run(["compare"] + tuples + ["--witness", "--semigroup"], [])
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(report["certificates"]["witness"]))
+    report = run(["witness", "compile"] + tuples + ["--witness-file", str(witness)], [witness])
+    certificate = tmp_path / "certificate.json"
+    certificate.write_text(json.dumps(report["certificates"]["certificate"]))
+    run(["witness", "extract"] + tuples + ["--certificate", str(certificate)], [certificate])
+    run(["witness", "roundtrip"] + tuples, [])
+    run(["system-check", "--system", z3_file], [])
+    run(["compare", "--system", z3_file, "--a", "@" + str(func), "--b", "chi:0"], [func])
+    run(["semigroup", "--system", z3_file, "--max-n", "1"], [])
+    run(["castle", "validate", "--system", z3_file, "--castle", str(castle)], [castle])
+    for verb in ("build-ozm", "decompose"):
+        run(["castle", verb, "--system", z3_file, "--data", str(data)], [data])
+    run(["castle", "tzs", "--system", z3_file, "--instance", str(inst), "--identity"], [inst])
+    run(["castle", "tzs", "--system", z3_file, "--instance", str(inst), "--data", str(data)],
+        [inst, data])
