@@ -70,7 +70,7 @@ Scalar = Union[RadScalar, FloatScalar]
 
 
 def _exact_zero(v) -> bool:
-    return type(v) is RadScalar and not v.re and not v.im
+    return type(v) is RadScalar and not v.p and not v.q
 
 
 class Func:
@@ -258,7 +258,9 @@ class Func:
     def sup_le_one(self) -> bool:
         """Exact check that every value has modulus at most one."""
         return all(
-            v.abs_sq() <= 1 if isinstance(v, RadScalar) else abs(complex(v)) <= 1 + NORM_TOL
+            (v.p * v.p + v.q * v.q) * v.rad <= v.d * v.d
+            if isinstance(v, RadScalar)
+            else abs(complex(v)) <= 1 + NORM_TOL
             for v in self.sparse.values()
         )
 
@@ -731,37 +733,45 @@ class OrbitBlock:
 
 
 def _exact_rank(entries) -> int:
-    """Rank over the Gaussian rationals by fraction-exact elimination."""
-    rows = [[(v.re, v.im) for v in row] for row in entries]
+    """Rank over the Gaussian rationals by fraction-free elimination.
+
+    Each row is scaled by the lcm of its denominators to Gaussian integers
+    ``(re, im)``.  A step replaces a row r below the pivot row t by
+    ``t[col] * r - r[col] * t``, a row operation over the field since the
+    pivot is nonzero, and divides out the row's integer content, so every
+    entry stays a small pair of ints."""
+    from math import gcd, lcm
+
+    rows = []
+    for row in entries:
+        m = lcm(*(v.d for v in row))
+        rows.append([(v.p * (m // v.d), v.q * (m // v.d)) for v in row])
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     rank = 0
     col = 0
     while rank < nrows and col < ncols:
-        piv = next(
-            (r for r in range(rank, nrows) if rows[r][col] != (Fraction(0), Fraction(0))),
-            None,
-        )
+        piv = next((r for r in range(rank, nrows) if rows[r][col] != (0, 0)), None)
         if piv is None:
             col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        pre, pim = rows[rank][col]
-        norm = pre * pre + pim * pim
-        inv = (pre / norm, -pim / norm)
+        top = rows[rank]
+        a, b = top[col]
         for r in range(rank + 1, nrows):
-            cre, cim = rows[r][col]
-            if cre == 0 and cim == 0:
+            row = rows[r]
+            c, e = row[col]
+            if not c and not e:
                 continue
-            fre = cre * inv[0] - cim * inv[1]
-            fim = cre * inv[1] + cim * inv[0]
-            for c in range(col, ncols):
-                are, aim = rows[rank][c]
-                bre, bim = rows[r][c]
-                rows[r][c] = (
-                    bre - (fre * are - fim * aim),
-                    bim - (fre * aim + fim * are),
-                )
+            # columns before col are zero in both rows, and col becomes zero
+            tail = [
+                (a * x - b * y - c * u + e * v, a * y + b * x - c * v - e * u)
+                for (x, y), (u, v) in zip(row[col + 1:], top[col + 1:])
+            ]
+            g = gcd(*(n for pair in tail for n in pair))
+            if g > 1:
+                tail = [(x // g, y // g) for x, y in tail]
+            rows[r] = row[:col] + [(0, 0)] + tail
         rank += 1
         col += 1
     return rank

@@ -115,7 +115,7 @@ def parse_scalar(value, float_mode: bool = False):
         im_part = parse_fraction(value.get("im", 0))
         rad = parse_fraction(value.get("sqrt", 1))
         out = RadScalar(re_part, im_part, rad)
-    elif isinstance(value, int):
+    elif isinstance(value, int) and not isinstance(value, bool):
         out = RadScalar(value)
     elif isinstance(value, str):
         m = _SCALAR_RE.match(value)

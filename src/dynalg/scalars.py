@@ -3,6 +3,13 @@
 A value is ``(re + im*i) * sqrt(rad)`` with ``re``, ``im`` rational and
 ``rad`` a square-free positive integer (canonical form; squares are
 extracted into the coefficient, and the value 0 carries radicand 1).
+:class:`RadScalar` stores it as four ints ``(p, q, d, rad)`` with
+``re = p/d`` and ``im = q/d``, ``d > 0`` and ``gcd(p, q, d) == 1``; zero
+is ``(0, 0, 1, 1)``.  The form is unique, so equality compares the four
+ints, and arithmetic runs on ints alone: products, sums, negation,
+conjugation, inverses, comparisons and float conversion make no
+:class:`~fractions.Fraction`.  ``re``, ``im``, ``abs_sq()`` and
+``as_fraction()`` hand out the rational parts as Fractions.
 The carrier is closed under multiplication, division, conjugation and
 modulus.  Addition is exact only between like radicands or with zero;
 anything else raises :class:`RadicalAdditionMismatch`, which callers may
@@ -40,26 +47,40 @@ def _square_split(n: int) -> tuple[int, int]:
 
 
 class RadScalar:
-    """An exact scalar ``(re + im*i) * sqrt(rad)`` in canonical form."""
+    """An exact scalar ``(p + q*i) / d * sqrt(rad)`` in canonical form.
 
-    __slots__ = ("re", "im", "rad")
+    The invariant: ``d > 0``, ``gcd(p, q, d) == 1``, ``rad`` square-free
+    and positive, and zero is ``(0, 0, 1, 1)``.  The constructor takes
+    the rational parts ``re``, ``im`` and any positive rational radicand.
+    """
+
+    __slots__ = ("p", "q", "d", "rad")
 
     def __init__(self, re=0, im=0, rad=1):
-        re = Fraction(re)
-        im = Fraction(im)
-        if re == 0 and im == 0:
-            core = 1
+        if type(re) is int and type(im) is int and type(rad) is int:
+            rn, rd, jn, jd, an, ad = re, 1, im, 1, rad, 1
         else:
-            rad = Fraction(rad)
-            if rad <= 0:
-                raise ValueError("radicand must be positive, got %s" % rad)
-            p, q = rad.numerator, rad.denominator
-            outer, core = _square_split(p * q)
-            scale = Fraction(outer, q)
-            re *= scale
-            im *= scale
-        self.re = re
-        self.im = im
+            re, im, rad = Fraction(re), Fraction(im), Fraction(rad)
+            rn, rd = re.numerator, re.denominator
+            jn, jd = im.numerator, im.denominator
+            an, ad = rad.numerator, rad.denominator
+        if an <= 0:
+            raise ValueError("radicand must be positive, got %s" % rad)
+        if not rn and not jn:
+            p, q, d, core = 0, 0, 1, 1
+        else:
+            # sqrt(an/ad) = outer * sqrt(core) / ad, as an * ad = outer**2 * core
+            outer, core = _square_split(an * ad)
+            d = rd * jd // gcd(rd, jd)
+            p = rn * (d // rd) * outer
+            q = jn * (d // jd) * outer
+            d *= ad
+            g = gcd(p, q, d)
+            if g != 1:
+                p, q, d = p // g, q // g, d // g
+        self.p = p
+        self.q = q
+        self.d = d
         self.rad = core
 
     # -- constructors ------------------------------------------------
@@ -75,57 +96,75 @@ class RadScalar:
     @classmethod
     def sqrt_of(cls, value) -> "RadScalar":
         """Exact square root of a nonnegative rational."""
-        value = Fraction(value)
+        if type(value) is not int:
+            value = Fraction(value)
         if value < 0:
             raise ExactnessError("square root of negative rational %s" % value)
         if value == 0:
-            return cls.zero()
-        return cls(1, 0, value)
+            return ZERO
+        return _root(value.numerator, value.denominator)
+
+    # -- rational parts -----------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.q, self.d)
 
     # -- predicates ---------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.p and not self.q
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.q
 
     @property
     def is_rational(self) -> bool:
-        return self.im == 0 and self.rad == 1
+        return not self.q and self.rad == 1
 
     @property
     def is_nonneg_real(self) -> bool:
-        return self.im == 0 and self.re >= 0
+        return not self.q and self.p >= 0
 
     def is_unit_modulus(self) -> bool:
-        return self.abs_sq() == 1
+        p, q, d = self.p, self.q, self.d
+        return (p * p + q * q) * self.rad == d * d
 
     # -- conversions --------------------------------------------------
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational:
+        if self.q or self.rad != 1:
             raise ExactnessError("%r is not rational" % self)
-        return self.re
+        return Fraction(self.p, self.d)
 
+    # int true division is correctly rounded: p / d is the float nearest p/d
     def __complex__(self) -> complex:
-        root = self.rad ** 0.5
-        return complex(float(self.re) * root, float(self.im) * root)
+        d, rad = self.d, self.rad
+        if rad == 1:
+            return complex(self.p / d, self.q / d)
+        root = rad ** 0.5
+        return complex(self.p / d * root, self.q / d * root)
 
     def __float__(self) -> float:
-        if self.im != 0:
+        if self.q:
             raise ExactnessError("%r is not real" % self)
-        return float(self.re) * self.rad ** 0.5
+        return self.p / self.d * self.rad ** 0.5
 
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, RadScalar):
             return other
-        if isinstance(other, (int, Fraction)):
-            return RadScalar(other)
+        if isinstance(other, int):
+            return _trusted(int(other), 0, 1, 1)
+        if isinstance(other, Fraction):
+            return _trusted(other.numerator, 0, other.denominator, 1)
         return None
 
     def __add__(self, other):
@@ -135,22 +174,34 @@ class RadScalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        if not self.re and not self.im:
+        p, q = self.p, self.q
+        if not p and not q:
             return other
-        if not other.re and not other.im:
+        p2, q2 = other.p, other.q
+        if not p2 and not q2:
             return self
-        if self.rad != other.rad:
+        rad = self.rad
+        if rad != other.rad:
             raise RadicalAdditionMismatch(
-                "cannot add sqrt(%d) and sqrt(%d) terms exactly" % (self.rad, other.rad)
+                "cannot add sqrt(%d) and sqrt(%d) terms exactly" % (rad, other.rad)
             )
-        re = self.re + other.re
-        im = self.im + other.im
-        return _trusted(re, im, self.rad if re or im else 1)
+        d, d2 = self.d, other.d
+        if d == d2:
+            p += p2
+            q += q2
+        else:
+            p, q, d = p * d2 + p2 * d, q * d2 + q2 * d, d * d2
+        if not p and not q:
+            return ZERO
+        g = gcd(p, q, d)
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
+        return _trusted(p, q, d, rad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _trusted(-self.re, -self.im, self.rad)
+        return _trusted(-self.p, -self.q, self.d, self.rad)
 
     def __sub__(self, other):
         if isinstance(other, FloatScalar):
@@ -173,42 +224,58 @@ class RadScalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not a and not b or not c and not d:
+        a, b, c, e = self.p, self.q, other.p, other.q
+        if not a and not b or not c and not e:
             return ZERO
-        if b or d:
-            re, im = a * c - b * d, a * d + b * c
+        if b or e:
+            p, q = a * c - b * e, a * e + b * c
         else:
-            re, im = a * c, b  # both real: b is the zero imaginary part
+            p, q = a * c, 0
         r, s = self.rad, other.rad
         if r == s:
             rad = 1
             if r != 1:
-                re, im = re * r, im * r
+                p, q = p * r, q * r
         else:
             g = gcd(r, s)
-            re, im, rad = re * g, im * g, (r // g) * (s // g)
+            rad = (r // g) * (s // g)
+            if g != 1:
+                p, q = p * g, q * g
+        d = self.d * other.d
         # nonzero factors have a nonzero product, so rad needs no reset
-        return _trusted(re, im, rad)
+        g = gcd(p, q, d)
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
+        return _trusted(p, q, d, rad)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "RadScalar":
-        return _trusted(self.re, -self.im, self.rad)
+        return _trusted(self.p, -self.q, self.d, self.rad)
 
     def abs_sq(self) -> Fraction:
         """Exact |value|^2 as a rational."""
-        return (self.re * self.re + self.im * self.im) * self.rad
+        p, q, d = self.p, self.q, self.d
+        return Fraction((p * p + q * q) * self.rad, d * d)
 
     def modulus(self) -> "RadScalar":
         """Exact |value| (always representable in the carrier)."""
-        return RadScalar.sqrt_of(self.abs_sq())
+        p, q, d = self.p, self.q, self.d
+        if not p and not q:
+            return ZERO
+        return _root((p * p + q * q) * self.rad, d * d)
 
     def inverse(self) -> "RadScalar":
-        if self.is_zero:
+        p, q = self.p, self.q
+        if not p and not q:
             raise ZeroDivisionError("inverse of zero scalar")
-        d = (self.re * self.re + self.im * self.im) * self.rad
-        return _trusted(self.re / d, -self.im / d, self.rad)
+        d, rad = self.d, self.rad
+        # 1 / ((p + qi)/d sqrt(rad)) = d (p - qi) sqrt(rad) / ((p^2 + q^2) rad)
+        p, q, n = p * d, -q * d, (p * p + q * q) * rad
+        g = gcd(p, q, n)
+        if g != 1:
+            p, q, n = p // g, q // g, n // g
+        return _trusted(p, q, n, rad)
 
     def __truediv__(self, other):
         if isinstance(other, FloatScalar):
@@ -226,65 +293,90 @@ class RadScalar:
 
     def sqrt(self) -> "RadScalar":
         """Exact square root; only defined for nonnegative rational values."""
-        if self.is_zero:
-            return RadScalar.zero()
-        if not self.is_rational or self.re < 0:
+        p = self.p
+        if not p and not self.q:
+            return ZERO
+        if self.q or self.rad != 1 or p < 0:
             raise ExactnessError("no exact square root for %r" % self)
-        return RadScalar.sqrt_of(self.re)
+        return _root(p, self.d)
 
     # -- ordering of real values --------------------------------------
 
     def real_sign(self) -> int:
-        if self.im != 0:
+        if self.q:
             raise ExactnessError("sign of non-real scalar %r" % self)
-        return (self.re > 0) - (self.re < 0)
+        return (self.p > 0) - (self.p < 0)
 
     def real_cmp(self, other) -> int:
-        """Exact three-way comparison of two real values."""
-        other = self._coerce(other)
+        """Exact three-way comparison of two real values.
+
+        A :class:`FloatScalar` argument is compared in floats, as its own
+        ``real_cmp`` does; a value that is not a scalar, an int or a
+        Fraction raises ``TypeError``.
+        """
+        if isinstance(other, FloatScalar):
+            return -other.real_cmp(self)
+        coerced = self._coerce(other)
+        if coerced is None:
+            raise TypeError("cannot compare %r with %r" % (self, other))
+        other = coerced
         sa, sb = self.real_sign(), other.real_sign()
         if sa != sb:
             return (sa > sb) - (sa < sb)
         if sa == 0:
             return 0
-        qa = self.re * self.re * self.rad
-        qb = other.re * other.re * other.rad
+        # same sign: larger square means larger absolute value
+        qa = self.p * self.p * self.rad * other.d * other.d
+        qb = other.p * other.p * other.rad * self.d * self.d
         if qa == qb:
             return 0
-        # same sign: larger square means larger absolute value
         return sa if qa > qb else -sa
 
     # -- value semantics ----------------------------------------------
 
     def __eq__(self, other):
         if type(other) is RadScalar:
-            return self.rad == other.rad and self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self == RadScalar(other)
+            return (
+                self.p == other.p
+                and self.q == other.q
+                and self.d == other.d
+                and self.rad == other.rad
+            )
+        if isinstance(other, int):
+            return self.p == other and not self.q and self.d == 1 and self.rad == 1
+        if isinstance(other, Fraction):
+            return (
+                not self.q
+                and self.rad == 1
+                and self.p == other.numerator
+                and self.d == other.denominator
+            )
         if isinstance(other, FloatScalar):
             return other == self
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(self.re)
+        if not self.q and self.rad == 1:
+            # equal to hash(Fraction(p, d)), as RadScalar(2) == 2
+            return hash(self.p) if self.d == 1 else hash(Fraction(self.p, self.d))
         return hash((self.re, self.im, self.rad))
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.p or self.q)
 
     def __repr__(self):
         return "RadScalar(%s, %s, %s)" % (self.re, self.im, self.rad)
 
     def __str__(self):
-        if self.is_zero:
+        if not self.p and not self.q:
             return "0"
-        if self.im == 0:
-            coeff = str(self.re)
-        elif self.re == 0:
-            coeff = "%si" % self.im
+        re, im = self.re, self.im
+        if im == 0:
+            coeff = str(re)
+        elif re == 0:
+            coeff = "%si" % im
         else:
-            coeff = "(%s%+si)" % (self.re, self.im)
+            coeff = "(%s%+si)" % (re, im)
         if self.rad == 1:
             return coeff
         if coeff == "1":
@@ -292,18 +384,31 @@ class RadScalar:
         return "%s*sqrt(%d)" % (coeff, self.rad)
 
 
-def _trusted(re: Fraction, im: Fraction, rad: int) -> RadScalar:
-    """A RadScalar from parts already in canonical form, skipping the
-    square split: ``rad`` square-free, and 1 when the value is zero."""
+def _trusted(p: int, q: int, d: int, rad: int) -> RadScalar:
+    """A RadScalar from ints already in canonical form: ``d > 0``,
+    ``gcd(p, q, d) == 1``, ``rad`` square-free, and 1 when the value is
+    zero."""
     out = object.__new__(RadScalar)
-    out.re = re
-    out.im = im
+    out.p = p
+    out.q = q
+    out.d = d
     out.rad = rad
     return out
 
 
+def _root(n: int, m: int) -> RadScalar:
+    """The exact square root of ``n/m`` for ints ``n, m > 0``."""
+    g = gcd(n, m)
+    if g != 1:
+        n, m = n // g, m // g
+    outer, core = _square_split(n * m)  # sqrt(n/m) = outer * sqrt(core) / m
+    g = gcd(outer, m)
+    return _trusted(outer // g, 0, m // g, core)
+
+
 ZERO = RadScalar(0)
 ONE = RadScalar(1)
+
 
 
 class FloatScalar:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -13,12 +14,15 @@ from dynalg import (
     CrossedElement,
     DiagTuple,
     DynSystem,
+    ExactnessError,
     FiniteGroup,
+    FloatScalar,
     Func,
     MatrixElement,
     NotFree,
     NotPositive,
     OrbitBlock,
+    RadicalAdditionMismatch,
     RadScalar,
     Witness,
     as_scalar,
@@ -29,7 +33,7 @@ from dynalg import (
     product_with_cyclic,
     validate_system,
 )
-from dynalg.scalars import ZERO
+from dynalg.scalars import ZERO, _square_split
 
 VALUE_POOL = [
     Fraction(1),
@@ -741,6 +745,319 @@ def dense_crossed_product(a: CrossedElement, b: CrossedElement) -> tuple:
             acc[k] = term if acc[k] is None else acc[k] + term
     zero = (RadScalar(0),) * sys.n_points
     return tuple(c.values if c is not None else zero for c in acc)
+
+
+def fraction_exact_rank(entries) -> int:
+    """Rank over the Gaussian rationals by elimination on Fraction pairs
+    ``(re, im)``: the library's ``_exact_rank`` before it moved to ints."""
+    rows = [[(v.re, v.im) for v in row] for row in entries]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    rank = 0
+    col = 0
+    while rank < nrows and col < ncols:
+        piv = next(
+            (r for r in range(rank, nrows) if rows[r][col] != (Fraction(0), Fraction(0))),
+            None,
+        )
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pre, pim = rows[rank][col]
+        norm = pre * pre + pim * pim
+        inv = (pre / norm, -pim / norm)
+        for r in range(rank + 1, nrows):
+            cre, cim = rows[r][col]
+            if cre == 0 and cim == 0:
+                continue
+            fre = cre * inv[0] - cim * inv[1]
+            fim = cre * inv[1] + cim * inv[0]
+            for c in range(col, ncols):
+                are, aim = rows[rank][c]
+                bre, bim = rows[r][c]
+                rows[r][c] = (
+                    bre - (fre * are - fim * aim),
+                    bim - (fre * aim + fim * are),
+                )
+        rank += 1
+        col += 1
+    return rank
+
+
+# -- Fraction-backed scalars ---------------------------------------------------
+
+
+class FractionRadScalar:
+    """The Fraction-backed exact scalar: ``re`` and ``im`` are Fractions.
+
+    The library's RadScalar before it moved to ints, kept unchanged as an
+    oracle; it prints as ``RadScalar(...)``, so reprs and error messages
+    compare equal.
+    """
+
+    __slots__ = ("re", "im", "rad")
+
+    def __init__(self, re=0, im=0, rad=1):
+        re = Fraction(re)
+        im = Fraction(im)
+        if re == 0 and im == 0:
+            core = 1
+        else:
+            rad = Fraction(rad)
+            if rad <= 0:
+                raise ValueError("radicand must be positive, got %s" % rad)
+            p, q = rad.numerator, rad.denominator
+            outer, core = _square_split(p * q)
+            scale = Fraction(outer, q)
+            re *= scale
+            im *= scale
+        self.re = re
+        self.im = im
+        self.rad = core
+
+    # -- constructors ------------------------------------------------
+
+    @classmethod
+    def zero(cls) -> "FractionRadScalar":
+        return FRACTION_ZERO
+
+    @classmethod
+    def one(cls) -> "FractionRadScalar":
+        return FRACTION_ONE
+
+    @classmethod
+    def sqrt_of(cls, value) -> "FractionRadScalar":
+        """Exact square root of a nonnegative rational."""
+        value = Fraction(value)
+        if value < 0:
+            raise ExactnessError("square root of negative rational %s" % value)
+        if value == 0:
+            return cls.zero()
+        return cls(1, 0, value)
+
+    # -- predicates ---------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.re and not self.im
+
+    @property
+    def is_real(self) -> bool:
+        return self.im == 0
+
+    @property
+    def is_rational(self) -> bool:
+        return self.im == 0 and self.rad == 1
+
+    @property
+    def is_nonneg_real(self) -> bool:
+        return self.im == 0 and self.re >= 0
+
+    def is_unit_modulus(self) -> bool:
+        return self.abs_sq() == 1
+
+    # -- conversions --------------------------------------------------
+
+    def as_fraction(self) -> Fraction:
+        if not self.is_rational:
+            raise ExactnessError("%r is not rational" % self)
+        return self.re
+
+    def __complex__(self) -> complex:
+        root = self.rad ** 0.5
+        return complex(float(self.re) * root, float(self.im) * root)
+
+    def __float__(self) -> float:
+        if self.im != 0:
+            raise ExactnessError("%r is not real" % self)
+        return float(self.re) * self.rad ** 0.5
+
+    # -- arithmetic ---------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, FractionRadScalar):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionRadScalar(other)
+        return None
+
+    def __add__(self, other):
+        if type(other) is not FractionRadScalar:
+            if isinstance(other, FloatScalar):
+                return FloatScalar(complex(self) + other.value)
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not self.re and not self.im:
+            return other
+        if not other.re and not other.im:
+            return self
+        if self.rad != other.rad:
+            raise RadicalAdditionMismatch(
+                "cannot add sqrt(%d) and sqrt(%d) terms exactly" % (self.rad, other.rad)
+            )
+        re = self.re + other.re
+        im = self.im + other.im
+        return _fraction_trusted(re, im, self.rad if re or im else 1)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _fraction_trusted(-self.re, -self.im, self.rad)
+
+    def __sub__(self, other):
+        if isinstance(other, FloatScalar):
+            return FloatScalar(complex(self) - other.value)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        if type(other) is not FractionRadScalar:
+            if isinstance(other, FloatScalar):
+                return FloatScalar(complex(self) * other.value)
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not a and not b or not c and not d:
+            return FRACTION_ZERO
+        if b or d:
+            re, im = a * c - b * d, a * d + b * c
+        else:
+            re, im = a * c, b  # both real: b is the zero imaginary part
+        r, s = self.rad, other.rad
+        if r == s:
+            rad = 1
+            if r != 1:
+                re, im = re * r, im * r
+        else:
+            g = gcd(r, s)
+            re, im, rad = re * g, im * g, (r // g) * (s // g)
+        # nonzero factors have a nonzero product, so rad needs no reset
+        return _fraction_trusted(re, im, rad)
+
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "FractionRadScalar":
+        return _fraction_trusted(self.re, -self.im, self.rad)
+
+    def abs_sq(self) -> Fraction:
+        """Exact |value|^2 as a rational."""
+        return (self.re * self.re + self.im * self.im) * self.rad
+
+    def modulus(self) -> "FractionRadScalar":
+        """Exact |value| (always representable in the carrier)."""
+        return FractionRadScalar.sqrt_of(self.abs_sq())
+
+    def inverse(self) -> "FractionRadScalar":
+        if self.is_zero:
+            raise ZeroDivisionError("inverse of zero scalar")
+        d = (self.re * self.re + self.im * self.im) * self.rad
+        return _fraction_trusted(self.re / d, -self.im / d, self.rad)
+
+    def __truediv__(self, other):
+        if isinstance(other, FloatScalar):
+            return FloatScalar(complex(self) / other.value)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
+
+    def sqrt(self) -> "FractionRadScalar":
+        """Exact square root; only defined for nonnegative rational values."""
+        if self.is_zero:
+            return FractionRadScalar.zero()
+        if not self.is_rational or self.re < 0:
+            raise ExactnessError("no exact square root for %r" % self)
+        return FractionRadScalar.sqrt_of(self.re)
+
+    # -- ordering of real values --------------------------------------
+
+    def real_sign(self) -> int:
+        if self.im != 0:
+            raise ExactnessError("sign of non-real scalar %r" % self)
+        return (self.re > 0) - (self.re < 0)
+
+    def real_cmp(self, other) -> int:
+        """Exact three-way comparison of two real values."""
+        other = self._coerce(other)
+        sa, sb = self.real_sign(), other.real_sign()
+        if sa != sb:
+            return (sa > sb) - (sa < sb)
+        if sa == 0:
+            return 0
+        qa = self.re * self.re * self.rad
+        qb = other.re * other.re * other.rad
+        if qa == qb:
+            return 0
+        # same sign: larger square means larger absolute value
+        return sa if qa > qb else -sa
+
+    # -- value semantics ----------------------------------------------
+
+    def __eq__(self, other):
+        if type(other) is FractionRadScalar:
+            return self.rad == other.rad and self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self == FractionRadScalar(other)
+        if isinstance(other, FloatScalar):
+            return other == self
+        return NotImplemented
+
+    def __hash__(self):
+        if self.is_rational:
+            return hash(self.re)
+        return hash((self.re, self.im, self.rad))
+
+    def __bool__(self):
+        return not self.is_zero
+
+    def __repr__(self):
+        return "RadScalar(%s, %s, %s)" % (self.re, self.im, self.rad)
+
+    def __str__(self):
+        if self.is_zero:
+            return "0"
+        if self.im == 0:
+            coeff = str(self.re)
+        elif self.re == 0:
+            coeff = "%si" % self.im
+        else:
+            coeff = "(%s%+si)" % (self.re, self.im)
+        if self.rad == 1:
+            return coeff
+        if coeff == "1":
+            return "sqrt(%d)" % self.rad
+        return "%s*sqrt(%d)" % (coeff, self.rad)
+
+
+def _fraction_trusted(re: Fraction, im: Fraction, rad: int) -> FractionRadScalar:
+    """A FractionRadScalar from parts already in canonical form, skipping the
+    square split: ``rad`` square-free, and 1 when the value is zero."""
+    out = object.__new__(FractionRadScalar)
+    out.re = re
+    out.im = im
+    out.rad = rad
+    return out
+
+
+FRACTION_ZERO = FractionRadScalar(0)
+FRACTION_ONE = FractionRadScalar(1)
 
 
 # -- CLI reports ----------------------------------------------------------------

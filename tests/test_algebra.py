@@ -29,6 +29,7 @@ from _support import (
     DenseFunc,
     dense_crossed_product,
     dense_regular_rep,
+    fraction_exact_rank,
     quotient_system,
     random_element,
     random_free_system,
@@ -483,6 +484,47 @@ def test_block_rank_example(z3):
         1 for x in range(3) if (a.adjoint() * a).cond_expectation().values[x] != RadScalar(0)
     )
     assert blocks[0].rank() == expected == 1
+
+
+def test_exact_rank_matches_fraction_oracle():
+    """Rank on int triples equals the Fraction-pair elimination on random
+    Gaussian-rational matrices, singular ones included: products of an
+    n x k and a k x m factor have rank at most k, and zero rows and
+    columns, repeated rows and the empty matrix occur too."""
+    from dynalg.algebra import _exact_rank
+
+    rng = random.Random(31)
+    pool = [
+        RadScalar(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+        )
+        for _ in range(12)
+    ] + [RadScalar(0)] * 6 + [RadScalar(1), RadScalar(0, 1), RadScalar(Fraction(1, 2))]
+
+    def random_matrix(n, m):
+        return [[rng.choice(pool) for _ in range(m)] for _ in range(n)]
+
+    def product(b, c):
+        return [
+            [sum((b[i][t] * c[t][j] for t in range(len(c))), RadScalar(0)) for j in range(len(c[0]))]
+            for i in range(len(b))
+        ]
+
+    ranks = []
+    for trial in range(300):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        if trial % 3 == 0:
+            k = rng.randint(1, 3)
+            entries = product(random_matrix(n, k), random_matrix(k, m))
+        else:
+            entries = random_matrix(n, m)
+        if trial % 5 == 0:
+            entries.append(list(entries[0]))
+        assert _exact_rank(entries) == fraction_exact_rank(entries)
+        ranks.append((_exact_rank(entries), min(len(entries), m)))
+    assert _exact_rank([]) == fraction_exact_rank([]) == 0
+    assert any(r < full for r, full in ranks) and any(r == full for r, full in ranks)
 
 
 def test_block_singular_values_match_rep():

@@ -73,6 +73,39 @@ def test_scalar_bad_literal():
         parse_scalar("one half")
 
 
+def test_scalar_json_booleans_rejected(capsys, tmp_path, z3_file):
+    """JSON true and false are not the ints 1 and 0."""
+    for value in (True, False):
+        with pytest.raises(ParseError):
+            parse_scalar(value)
+    func_path = tmp_path / "f.json"
+    func_path.write_text(json.dumps([["0", True]]))
+    code, out, err = run_cli(
+        capsys, ["compare", "--system", z3_file, "--a", "@" + str(func_path), "--b", "chi:1"]
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ParseError", "message": "bad scalar literal True"}
+
+
+def test_scalar_zero_with_bad_radicand_rejected(capsys, tmp_path, z3_file):
+    """The object form checks the radicand of a zero value, as the string
+    form "0 sqrt -2" is rejected.  parse_scalar raises the scalar's
+    ValueError; the payload parsers turn it into a ParseError."""
+    for rad in ("-1", "0"):
+        with pytest.raises(ValueError, match="radicand must be positive"):
+            parse_scalar({"re": "0", "im": "0", "sqrt": rad})
+    func_path = tmp_path / "f.json"
+    func_path.write_text(json.dumps([["0", {"re": "0", "im": "0", "sqrt": "-1"}]]))
+    code, out, err = run_cli(
+        capsys, ["compare", "--system", z3_file, "--a", "@" + str(func_path), "--b", "chi:1"]
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "ParseError",
+        "message": "bad function payload: radicand must be positive, got -1",
+    }
+
+
 # -- system-check ----------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import fractions
+import sys
 from fractions import Fraction
 
 import pytest
@@ -151,3 +153,72 @@ def test_trusted_products_of_unlike_radicands(a, b):
 def test_trusted_zero_results_carry_radicand_one(a):
     for zero in (a + (-a), a - a, -(a - a), (a - a).conjugate(), a * RadScalar(0)):
         assert parts(zero) == (0, 0, 1)
+
+
+def test_real_cmp_with_float_scalar_delegates():
+    """A FloatScalar argument is compared as FloatScalar.real_cmp does,
+    with the sign turned, as __eq__ already delegates."""
+    one = RadScalar(1)
+    assert one.real_cmp(FloatScalar(0.5)) == 1
+    assert RadScalar(1, 0, 2).real_cmp(FloatScalar(1.5)) == -1
+    assert one.real_cmp(FloatScalar(1.0 + 1e-12)) == 0
+    for v in (FloatScalar(0.5), FloatScalar(2.0), FloatScalar(1.0)):
+        assert one.real_cmp(v) == -v.real_cmp(one)
+
+
+@pytest.mark.parametrize("other", [0.5, 1j, "1", None, [1]])
+def test_real_cmp_with_other_types_raises_type_error(other):
+    with pytest.raises(TypeError, match="cannot compare"):
+        RadScalar(1).real_cmp(other)
+
+
+def test_int_form_invariant():
+    """(p, q, d, rad): re = p/d, im = q/d, d > 0, gcd(p, q, d) = 1."""
+    s = RadScalar(Fraction(3, 4), Fraction(-1, 6), 8)  # (3/4 - i/6) 2 sqrt(2)
+    assert (s.p, s.q, s.d, s.rad) == (9, -2, 6, 2)
+    assert (s.re, s.im) == (Fraction(3, 2), Fraction(-1, 3))
+    assert (RadScalar(0).p, RadScalar(0).q, RadScalar(0).d, RadScalar(0).rad) == (0, 0, 1, 1)
+    half = RadScalar(Fraction(1, 2))
+    assert (half + half).d == 1 and hash(half) == hash(Fraction(1, 2))
+
+
+def _fraction_constructions(fn):
+    """Run fn and count the Fractions made meanwhile: every way in goes
+    through ``Fraction.__new__`` or, on newer Pythons, ``_from_coprime_ints``."""
+    made = []
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == fractions.__file__ and code.co_name in (
+            "__new__",
+            "_from_coprime_ints",
+        ):
+            made.append(code.co_name)
+
+    old = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(old)
+    return len(made)
+
+
+def test_hot_operations_make_no_fraction():
+    a = RadScalar(Fraction(3, 5), Fraction(-4, 7), 2)
+    b = RadScalar(Fraction(5, 6), Fraction(1, 9), 2)
+    c = RadScalar(Fraction(1, 3), 0, 3)
+    r = RadScalar(Fraction(7, 4))
+    half = Fraction(1, 2)
+
+    def hot():
+        for x, y in ((a, b), (a, c), (c, r), (r, r), (b, RadScalar(0))):
+            x * y, y * x, x + y if x.rad == y.rad or not x or not y else None
+            -x, x.conjugate(), x == y, x == 2, x == half, x.is_zero, complex(x)
+            x.is_unit_modulus(), x.is_real, bool(x)
+        a.inverse(), c.inverse(), r.inverse()
+        a - b, a / b, r * 3, 3 * r, r + half, r.real_cmp(c), float(r), r.sqrt(), a.modulus()
+
+    hot()  # the operations themselves work
+    assert _fraction_constructions(hot) == 0
+    assert _fraction_constructions(lambda: a.re) == 1  # the check sees a construction
