@@ -258,9 +258,7 @@ class Func:
     def sup_le_one(self) -> bool:
         """Exact check that every value has modulus at most one."""
         return all(
-            (v.p * v.p + v.q * v.q) * v.rad <= v.d * v.d
-            if isinstance(v, RadScalar)
-            else abs(complex(v)) <= 1 + NORM_TOL
+            v.modulus_cmp_one() <= 0 if isinstance(v, RadScalar) else abs(complex(v)) <= 1 + NORM_TOL
             for v in self.sparse.values()
         )
 

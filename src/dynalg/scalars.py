@@ -133,8 +133,13 @@ class RadScalar:
         return not self.q and self.p >= 0
 
     def is_unit_modulus(self) -> bool:
+        return not self.modulus_cmp_one()
+
+    def modulus_cmp_one(self) -> int:
+        """Exact three-way comparison of ``|value|`` with 1."""
         p, q, d = self.p, self.q, self.d
-        return (p * p + q * q) * self.rad == d * d
+        n, m = (p * p + q * q) * self.rad, d * d
+        return (n > m) - (n < m)
 
     # -- conversions --------------------------------------------------
 
@@ -145,10 +150,7 @@ class RadScalar:
 
     # int true division is correctly rounded: p / d is the float nearest p/d
     def __complex__(self) -> complex:
-        d, rad = self.d, self.rad
-        if rad == 1:
-            return complex(self.p / d, self.q / d)
-        root = rad ** 0.5
+        d, root = self.d, self.rad ** 0.5
         return complex(self.p / d * root, self.q / d * root)
 
     def __float__(self) -> float:
@@ -342,15 +344,8 @@ class RadScalar:
                 and self.d == other.d
                 and self.rad == other.rad
             )
-        if isinstance(other, int):
-            return self.p == other and not self.q and self.d == 1 and self.rad == 1
-        if isinstance(other, Fraction):
-            return (
-                not self.q
-                and self.rad == 1
-                and self.p == other.numerator
-                and self.d == other.denominator
-            )
+        if isinstance(other, (int, Fraction)):
+            return self == self._coerce(other)
         if isinstance(other, FloatScalar):
             return other == self
         return NotImplemented
@@ -408,7 +403,6 @@ def _root(n: int, m: int) -> RadScalar:
 
 ZERO = RadScalar(0)
 ONE = RadScalar(1)
-
 
 
 class FloatScalar:

@@ -89,6 +89,7 @@ def assert_same(new, old):
         assert getattr(new, name) == getattr(old, name), name
     assert new.is_unit_modulus() == old.is_unit_modulus()
     assert new.abs_sq() == old.abs_sq()
+    assert new.modulus_cmp_one() == (old.abs_sq() > 1) - (old.abs_sq() < 1)
     assert new == RadScalar(old.re, old.im, old.rad)
 
 

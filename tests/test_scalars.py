@@ -215,7 +215,7 @@ def test_hot_operations_make_no_fraction():
         for x, y in ((a, b), (a, c), (c, r), (r, r), (b, RadScalar(0))):
             x * y, y * x, x + y if x.rad == y.rad or not x or not y else None
             -x, x.conjugate(), x == y, x == 2, x == half, x.is_zero, complex(x)
-            x.is_unit_modulus(), x.is_real, bool(x)
+            x.is_unit_modulus(), x.modulus_cmp_one(), x.is_real, bool(x)
         a.inverse(), c.inverse(), r.inverse()
         a - b, a / b, r * 3, 3 * r, r + half, r.real_cmp(c), float(r), r.sqrt(), a.modulus()
 
