@@ -102,6 +102,15 @@ def parse_fraction(text) -> Fraction:
         raise ParseError("bad rational literal %r: %s" % (text, exc))
 
 
+def _parse_int(value, field: str) -> int:
+    """An integer payload field.  A JSON float or boolean raises
+    ParseError naming the field, where ``int`` would truncate it or read
+    it as 0 or 1."""
+    if isinstance(value, (bool, float)):
+        raise ParseError("%s must be an integer, got %s" % (field, json.dumps(value)))
+    return int(value)
+
+
 _SCALAR_RE = re.compile(
     r"^\s*(?P<coeff>[+-]?\d+(?:/\d+)?)\s*(?P<imag>i)?"
     r"(?:\s*sqrt\s*(?P<rad>\d+(?:/\d+)?))?\s*$"
@@ -251,7 +260,8 @@ def parse_witness(sys_obj: DynSystem, payload) -> Witness:
             triples = []
             for pts, glabel, k in row:
                 U = frozenset(sys_obj.point_index(str(p)) for p in pts)
-                triples.append((U, sys_obj.group.index(str(glabel)), int(k)))
+                g = sys_obj.group.index(str(glabel))
+                triples.append((U, g, _parse_int(k, "witness target index")))
             rows.append(tuple(triples))
         return Witness(tuple(rows))
     except (KeyError, TypeError, ValueError) as exc:
@@ -279,7 +289,7 @@ def matrix_payload(m: MatrixElement):
 
 def parse_matrix(sys_obj: DynSystem, payload, float_mode=False) -> MatrixElement:
     try:
-        n = int(payload["n"])
+        n = _parse_int(payload["n"], "matrix n")
         entries = payload["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("bad matrix payload: %s" % exc)
@@ -318,7 +328,7 @@ def castle_payload(c: Castle):
 def parse_ozm_data(sys_obj: DynSystem, payload, float_mode=False) -> CastleOzmData:
     castle = parse_castle(sys_obj, payload)
     try:
-        n = int(payload["n"])
+        n = _parse_int(payload["n"], "castle data n")
         weights = tuple(parse_func(sys_obj, w, float_mode) for w in payload["weights"])
         phases = None
         if "phases" in payload:
@@ -358,7 +368,7 @@ def parse_tzs_instance(sys_obj: DynSystem, payload, float_mode=False) -> TzsInst
     zero h) is reported as a ParseError like any other bad field."""
     try:
         return TzsInstance(
-            n=int(payload["n"]),
+            n=_parse_int(payload["n"], "instance n"),
             epsilon=parse_fraction(payload["epsilon"]),
             F=tuple(parse_element(sys_obj, e, float_mode) for e in payload["F"]),
             h=parse_func(sys_obj, payload["h"], float_mode),

@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import add, le, lt
 from typing import Iterable, Optional, Sequence, Union
@@ -42,7 +43,6 @@ from typing import Iterable, Optional, Sequence, Union
 from .algebra import (
     CrossedElement,
     DiagTuple,
-    Func,
     MatrixElement,
     NORM_TOL,
     matrix_orbit_blocks,
@@ -295,64 +295,50 @@ def dynamical_comparison_check(
 class TypeSemigroup:
     """Equivalence classes of diagonal indicator tuples, truncated at max_n.
 
-    ``classes`` holds lexicographically least representatives.  A class
-    is determined by its per-orbit count vector (points per orbit, summed
-    over the entries), so the order is componentwise comparison of those
-    vectors and addition sums them.  A constructed instance may also
-    carry explicit tables (used by table-level checks and fixtures),
-    which then answer every query.
+    A class is determined by its per-orbit count vector (points per orbit,
+    summed over the entries), so the order is componentwise comparison of
+    those vectors and addition sums them.  An instance stores, per class,
+    its lexicographically least representative as a tuple of nonempty
+    supports and its count vector, which keys the class index.  The rest
+    is derived on first read: ``classes`` (the representatives as
+    ``DiagTuple``s), the class-order matrix, ``order`` and ``add``.
     """
 
-    def __init__(
-        self,
-        system: DynSystem,
-        max_n: int,
-        classes: Sequence[DiagTuple],
-        support_reps: Optional[Sequence[tuple]] = None,
-        order: Optional[Sequence[Sequence[bool]]] = None,
-        add: Optional[dict] = None,
-    ):
+    def __init__(self, system: DynSystem, max_n: int, support_reps: Sequence[tuple]):
         self.system = system
         self.max_n = max_n
-        self.classes = tuple(classes)
-        if support_reps is None:
-            support_reps = [rep.supports() for rep in self.classes]
-        self._support_reps = tuple(
-            tuple(s for s in rep if s) for rep in support_reps
-        )
+        self._support_reps = tuple(support_reps)
         self._vectors = tuple(_orbit_counts(system, rep) for rep in self._support_reps)
-        self._index: dict[tuple[int, ...], int] = {}
-        for idx, vec in enumerate(self._vectors):
-            self._index.setdefault(vec, idx)
-        self._order_matrix = np.array(order, dtype=bool) if order is not None else None
-        self._order_table: Optional[tuple] = None
-        self._explicit_add = dict(add) if add is not None else None
+        self._index = {vec: idx for idx, vec in enumerate(self._vectors)}
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        return len(self._support_reps)
 
     @property
     def zero_class(self) -> int:
         return 0
 
+    @cached_property
+    def classes(self) -> tuple[DiagTuple, ...]:
+        """The representatives as indicator tuples; the zero class is (0,)."""
+        return tuple(DiagTuple.indicators(self.system, rep or [()]) for rep in self._support_reps)
+
+    @cached_property
     def _order(self) -> np.ndarray:
         """The boolean class-order matrix: [i, j] is whether i lies below j.
 
-        Explicit tables give it directly; count-vector tables compare the
-        vectors one orbit coordinate at a time, so the largest temporary
-        is n_classes x n_classes.
+        The vectors are compared one orbit coordinate at a time, so the
+        largest temporary is n_classes x n_classes.
         """
-        if self._order_matrix is None:
-            below = np.ones((self.n_classes, self.n_classes), dtype=bool)
-            for col in np.array(self._vectors).T:
-                below &= col[:, None] <= col[None, :]
-            self._order_matrix = below
-        return self._order_matrix
+        below = np.ones((self.n_classes, self.n_classes), dtype=bool)
+        for col in np.array(self._vectors).T:
+            below &= col[:, None] <= col[None, :]
+        return below
 
     def le(self, i: int, j: int) -> bool:
         """Class i below class j in the induced order."""
-        return bool(self._order()[i, j])
+        return bool(self._order[i, j])
 
     def _lookup(self, length: int, vector: tuple[int, ...]) -> Optional[int]:
         if not length:
@@ -363,8 +349,6 @@ class TypeSemigroup:
 
     def add_classes(self, i: int, j: int) -> Optional[int]:
         """Class of the direct sum, or None when it leaves the table."""
-        if self._explicit_add is not None:
-            return self._explicit_add[(i, j)]
         return self._lookup(
             len(self._support_reps[i]) + len(self._support_reps[j]),
             tuple(map(add, self._vectors[i], self._vectors[j])),
@@ -402,23 +386,19 @@ class TypeSemigroup:
             raise SystemMismatch("tuple over a different system than the table")
         return self.class_of_supports(a.supports())
 
-    @property
+    @cached_property
     def order(self) -> tuple:
-        """The full order table (materializes on first access)."""
-        if self._order_table is None:
-            self._order_table = tuple(map(tuple, self._order().tolist()))
-        return self._order_table
+        """The full order table."""
+        return tuple(map(tuple, self._order.tolist()))
 
-    @property
+    @cached_property
     def add(self) -> dict:
-        """The full addition table (materializes on first access)."""
-        if self._explicit_add is None:
-            table = {}
-            for i in range(self.n_classes):
-                for j in range(i, self.n_classes):
-                    table[(i, j)] = table[(j, i)] = self.add_classes(i, j)
-            self._explicit_add = table
-        return self._explicit_add
+        """The full addition table."""
+        table = {}
+        for i in range(self.n_classes):
+            for j in range(i, self.n_classes):
+                table[(i, j)] = table[(j, i)] = self.add_classes(i, j)
+        return table
 
 
 def type_semigroup(sys: DynSystem, max_n: int, budget: int = 500_000) -> TypeSemigroup:
@@ -445,7 +425,7 @@ def type_semigroup(sys: DynSystem, max_n: int, budget: int = 500_000) -> TypeSem
     nx = sys.n_points
     nonzero_masks = range(1, 1 << nx)
     total = 1 + sum(
-        _count_multisets(len(nonzero_masks), k) for k in range(1, max_n + 1)
+        math.comb(len(nonzero_masks) + k - 1, k) for k in range(1, max_n + 1)
     )
     if total > budget:
         raise ResourceBound(
@@ -469,23 +449,7 @@ def type_semigroup(sys: DynSystem, max_n: int, budget: int = 500_000) -> TypeSem
                 reps.append(combo)
 
     mask_sets = {m: frozenset(x for x in range(nx) if m >> x & 1) for m in nonzero_masks}
-    support_reps = [tuple(mask_sets[m] for m in rep) for rep in reps]
-    class_reps = []
-    for rep in support_reps:
-        entries = tuple(Func.indicator(sys, s) for s in rep) or (Func.zero(sys),)
-        class_reps.append(DiagTuple(sys, entries))
-    return TypeSemigroup(
-        system=sys,
-        max_n=max_n,
-        classes=tuple(class_reps),
-        support_reps=tuple(support_reps),
-    )
-
-
-def _count_multisets(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n + k - 1, k)
+    return TypeSemigroup(sys, max_n, [tuple(mask_sets[m] for m in rep) for rep in reps])
 
 
 def almost_unperforation_check(W: TypeSemigroup):
@@ -498,7 +462,7 @@ def almost_unperforation_check(W: TypeSemigroup):
     ``TypeSemigroup.multiple`` builds them; each n is then decided at
     once on the class-order matrix, by indexing it with the multiples.
     """
-    order = W._order()
+    order = W._order
     below = list(range(W.n_classes))  # the n-th multiples, starting at n = 1
     for n in range(1, W.max_n + 1):
         above = [

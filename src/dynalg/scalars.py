@@ -371,7 +371,7 @@ class RadScalar:
         elif re == 0:
             coeff = "%si" % im
         else:
-            coeff = "(%s%+si)" % (re, im)
+            coeff = "(%s%s%si)" % (re, "+" if im > 0 else "", im)
         if self.rad == 1:
             return coeff
         if coeff == "1":

@@ -407,6 +407,46 @@ def test_castle_data_bad_phases_rejected(capsys, tmp_path, z2_file, phases):
         assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("value", [2.9, 3.0, True, float("inf")])
+def test_integer_fields_reject_floats_and_booleans(capsys, tmp_path, z2_file, z3_file, value):
+    """An integer payload field takes a JSON integer: int() would truncate
+    a float, read true as 1 and raise OverflowError on Infinity."""
+    compile_argv = [
+        "witness", "compile", "--system", z2_file, "--a", "chi:0", "--b", "chi:1",
+        "--epsilon", "1/2",
+    ]
+    code, out, _ = run_cli(capsys, compile_argv)
+    cert = json.loads(out)["certificates"]["certificate"]
+    cert["t"]["n"] = value
+    payloads = {
+        "data": {"towers": [{"base": ["0"], "shape": ["0", "1"]}], "n": value, "weights": [[["0", "1"]]]},
+        "inst": {"n": value, "epsilon": "1/10", "F": [], "h": [["0", "1"]]},
+        "witness": {"rows": [[[["0"], "1", value]]]},
+        "cert": cert,
+    }
+    paths = {}
+    for name, payload in payloads.items():
+        paths[name] = str(tmp_path / ("%s.json" % name))
+        Path(paths[name]).write_text(json.dumps(payload))
+    cases = [
+        (["castle", "build-ozm", "--system", z2_file, "--data", paths["data"]], "castle data n"),
+        (["castle", "tzs", "--system", z3_file, "--instance", paths["inst"], "--identity"], "instance n"),
+        (compile_argv + ["--witness-file", paths["witness"]], "witness target index"),
+        (
+            ["witness", "extract", "--system", z2_file, "--a", "chi:0", "--b", "chi:1",
+             "--certificate", paths["cert"]],
+            "matrix n",
+        ),
+    ]
+    for argv, field in cases:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert _single_error(err) == {
+            "error": "ParseError",
+            "message": "%s must be an integer, got %s" % (field, json.dumps(value)),
+        }
+
+
 # -- semigroup ---------------------------------------------------------------------------
 
 

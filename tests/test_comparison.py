@@ -18,7 +18,6 @@ from dynalg import (
     RadScalar,
     ResourceBound,
     SystemMismatch,
-    TypeSemigroup,
     Witness,
     almost_unperforation_check,
     check_witness,
@@ -44,6 +43,7 @@ from _support import (
     random_subsets,
     standard_free_systems,
     table_unperforation_check,
+    TableSemigroup,
 )
 
 
@@ -379,6 +379,25 @@ def test_semigroup_reps_match_enumeration(z2, z3, z4, double_swap, fixed_point_s
             assert supports == enumerated_semigroup_reps(sys, max_n)
 
 
+def test_semigroup_builds_representatives_on_first_read(z3, monkeypatch):
+    built = []
+    init = DiagTuple.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiagTuple, "__init__", counting_init)
+    W = type_semigroup(z3, max_n=2)
+    almost_unperforation_check(W)
+    W.class_of_supports([{0}, {1, 2}])
+    W.multiple(1, 2)
+    W.order, W.add
+    assert built == []
+    assert W.classes is W.classes
+    assert len(built) == W.n_classes
+
+
 def test_semigroup_multiple_adds_one_copy_at_a_time(z2):
     # 2[{0}] is represented by ({0, 1},), so a third copy still fits in
     # max_n = 2 although three copies of ({0},) would not
@@ -446,12 +465,8 @@ def test_unperforation_translation_systems(z2, z3):
 
 def test_unperforation_synthetic_violation():
     # a fake two-class table where 2x <= y but x is not below y
-    sys = DynSystem.translation(FiniteGroup.trivial())
-    x = DiagTuple.indicators(sys, [{0}])
-    fake = TypeSemigroup(
-        system=sys,
+    fake = TableSemigroup(
         max_n=2,
-        classes=(x, x),
         order=((True, False), (False, True)),
         add={(0, 0): 1, (0, 1): None, (1, 0): None, (1, 1): None},
     )
@@ -467,8 +482,6 @@ def test_unperforation_matches_table_oracle(z2, z3, double_swap, fixed_point_sys
         )
     # random explicit tables, where violations do occur
     rng = random.Random(37)
-    one = DynSystem.translation(FiniteGroup.trivial())
-    x = DiagTuple.indicators(one, [{0}])
     outcomes = set()
     for _ in range(200):
         n = rng.randint(1, 6)
@@ -479,7 +492,7 @@ def test_unperforation_matches_table_oracle(z2, z3, double_swap, fixed_point_sys
             for i in range(n)
             for j in range(n)
         }
-        fake = TypeSemigroup(one, max_n, (x,) * n, order=order, add=add)
+        fake = TableSemigroup(max_n, order, add)
         expected = table_unperforation_check(order, add, max_n)
         assert almost_unperforation_check(fake) == expected
         outcomes.add(expected[0])

@@ -51,6 +51,19 @@ def test_zero_has_radicand_one():
     assert RadScalar(0, 0, 7).rad == 1
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (RadScalar(1, 1), "(1+1i)"),
+        (RadScalar(Fraction(1, 2), Fraction(1, 3)), "(1/2+1/3i)"),
+        (RadScalar(1, -1), "(1-1i)"),
+        (RadScalar(1, 1, 2), "(1+1i)*sqrt(2)"),
+    ],
+)
+def test_str_signs_the_imaginary_part(value, text):
+    assert str(value) == text
+
+
 @given(scalars(), scalars())
 def test_multiplication_matches_floats(a, b):
     prod = a * b
