@@ -49,7 +49,7 @@ def main():
     z2 = DynSystem.translation(FiniteGroup.cyclic(2))
     c = Func.indicator(z2, {0})
     b = CrossedElement.from_func(c) + CrossedElement.monomial(c, 1)
-    print("norm =", operator_norm(b).value)
+    print("norm =", operator_norm(b))
 
     # one matrix block per free orbit; unitaries become permutation matrices
     for block in orbit_block_decomposition(CrossedElement.unitary(z3, 1)):

@@ -34,7 +34,7 @@ from .errors import (
     SupportOverlap,
     SystemMismatch,
 )
-from .scalars import FloatScalar, RadScalar, as_scalar, rad_add
+from .scalars import FloatScalar, RadScalar, as_scalar
 from .dynsys import (
     DynSystem,
     FiniteGroup,
@@ -50,7 +50,6 @@ from .algebra import (
     DiagTuple,
     Func,
     MatrixElement,
-    NormResult,
     OrbitBlock,
     cond_expectation,
     open_support,

@@ -21,8 +21,9 @@ representation in floating point with absolute tolerance ``1e-9``:
 on the basis indexed by pairs (h in G, x in X).  pi never moves a point,
 so it is the direct sum of one block per point.  One private builder,
 ``_block_entries``, evaluates this rule for an n x n matrix of elements;
-the float matrices, the Choi blocks of ``castles.verify_cpc`` and the
-exact orbit blocks all read their entries from it.
+the float matrices, the per-orbit positivity test of
+``castles.verify_cpc`` and ``comparison.cuntz_oracle``, and the exact
+orbit blocks all read their entries from it.
 
 Storage is sparse.  A :class:`Func` keeps a dict from point to value that
 omits exactly the points whose value is an exact zero, so sums, products,
@@ -46,7 +47,7 @@ import numpy as np
 
 from .dynsys import DynSystem
 from .errors import NotFree, NotPositive, RadicalAdditionMismatch, SystemMismatch
-from .scalars import ONE, ZERO, FloatScalar, RadScalar, as_scalar
+from .scalars import FLOAT_TOL, ONE, ZERO, FloatScalar, RadScalar, as_scalar
 
 __all__ = [
     "Func",
@@ -54,7 +55,6 @@ __all__ = [
     "MatrixElement",
     "DiagTuple",
     "OrbitBlock",
-    "NormResult",
     "open_support",
     "pos_cutdown",
     "cond_expectation",
@@ -63,8 +63,6 @@ __all__ = [
     "orbit_block_decomposition",
     "operator_norm",
 ]
-
-NORM_TOL = 1e-9
 
 Scalar = Union[RadScalar, FloatScalar]
 
@@ -258,7 +256,7 @@ class Func:
     def sup_le_one(self) -> bool:
         """Exact check that every value has modulus at most one."""
         return all(
-            v.modulus_cmp_one() <= 0 if isinstance(v, RadScalar) else abs(complex(v)) <= 1 + NORM_TOL
+            v.modulus_cmp_one() <= 0 if isinstance(v, RadScalar) else abs(complex(v)) <= 1 + FLOAT_TOL
             for v in self.sparse.values()
         )
 
@@ -644,6 +642,23 @@ def _point_block(sys: DynSystem, rows, x: int) -> np.ndarray:
     return out
 
 
+def _positivity_failure(sys: DynSystem, rows) -> Optional[str]:
+    """Why the representation of an n x n matrix of crossed elements is not
+    positive, or None when it is.
+
+    The blocks over one orbit are permutations of each other (see
+    ``point_block``), so the block at each orbit's least point decides.
+    Every block is first tested hermitian within the absolute FLOAT_TOL
+    (``rtol=0``); then no eigenvalue may lie below -FLOAT_TOL.
+    """
+    blocks = [_point_block(sys, rows, orbit[0]) for orbit in sys.orbit_partition]
+    if not all(np.allclose(b, b.conj().T, rtol=0, atol=FLOAT_TOL) for b in blocks):
+        return "element is not self-adjoint within tolerance"
+    if any(b.size and np.linalg.eigvalsh(b).min() < -FLOAT_TOL for b in blocks):
+        return "element has an eigenvalue below -%g" % FLOAT_TOL
+    return None
+
+
 def _rep(sys: DynSystem, rows) -> np.ndarray:
     """The direct sum of the point blocks; slot s over x has index s |X| + x."""
     nx = sys.n_points
@@ -676,30 +691,17 @@ def regular_rep(a: CrossedElement) -> np.ndarray:
     return _rep(a.system, ((a,),))
 
 
-@dataclass(frozen=True)
-class NormResult:
-    """Operator norm value with its documented absolute tolerance."""
-
-    value: float
-    abs_tol: float = NORM_TOL
-    exact_zero: bool = False
-
-    def __float__(self):
-        return self.value
-
-
-def operator_norm(a) -> NormResult:
-    """Largest singular value of the representation, with tolerance report.
+def operator_norm(a) -> float:
+    """Largest singular value of the representation.
 
     An exact zero element is 0.0 without a float computation.
     """
     if a.is_zero:
-        return NormResult(0.0, NORM_TOL, exact_zero=True)
+        return 0.0
     mat = a.rep_matrix()
     if mat.size == 0:
-        return NormResult(0.0, NORM_TOL, exact_zero=True)
-    value = float(np.linalg.norm(mat, 2))
-    return NormResult(value, NORM_TOL)
+        return 0.0
+    return float(np.linalg.norm(mat, 2))
 
 
 @dataclass(frozen=True)
@@ -723,11 +725,11 @@ class OrbitBlock:
             isinstance(v, RadScalar) and v.rad == 1 for row in self.entries for v in row
         )
 
-    def rank(self, tol: float = NORM_TOL) -> int:
+    def rank(self) -> int:
         if self.all_rational:
             return _exact_rank(self.entries)
         sv = np.linalg.svd(self.to_complex(), compute_uv=False)
-        return int(np.sum(sv > tol))
+        return int(np.sum(sv > FLOAT_TOL))
 
 
 def _exact_rank(entries) -> int:

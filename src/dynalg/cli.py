@@ -9,8 +9,8 @@ when the mathematical verdict is false); nonzero is reserved for errors.
 Every request takes one path, through ``main``:
 
 1. parse the arguments;
-2. check the flags that need no file: ``--tolerance`` and ``--budget``,
-   then ``--max-n`` for ``semigroup`` and ``compare --semigroup``;
+2. check the flags that need no file: ``--budget``, then ``--max-n`` for
+   ``semigroup`` and ``compare --semigroup``;
 3. start the timer;
 4. load, parse and validate the system file;
 5. run the command's handler, which reads its other files and computes;
@@ -18,11 +18,13 @@ Every request takes one path, through ``main``:
    standard output.
 
 The report's fields are ``command``; ``inputs.digest``, the SHA-256 of
-the canonical JSON of the inputs; ``params`` (``mode`` and
-``tolerance``); ``result``; ``certificates``; ``margins``, the float
-margins of a stability check; and ``runtime_s``, the seconds from step 3
-to step 6.  An error at any step prints one ``{"error", "message"}``
-object on standard error and exits 1, with nothing on standard output.
+the canonical JSON of the inputs; ``params``, the ``mode`` and the
+``tolerance``, which echoes ``scalars.FLOAT_TOL`` (1e-9), the absolute
+tolerance of every float decision; ``result``; ``certificates``;
+``margins``, the float margins of a stability check; and ``runtime_s``,
+the seconds from step 3 to step 6.  An error at any step prints one
+``{"error", "message"}`` object on standard error and exits 1, with
+nothing on standard output.
 
 File formats
 ------------
@@ -56,7 +58,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import re
 import sys as _sys
 import time
@@ -86,7 +87,7 @@ from .comparison import (
 )
 from .dynsys import DynSystem, FiniteGroup, extreme_invariant_measures, validate_system
 from .errors import DynalgError, ParseError
-from .scalars import FloatScalar, RadScalar
+from .scalars import FLOAT_TOL, FloatScalar, RadScalar
 from .witness import compile_witness, extract_witness
 
 __all__ = ["main"]
@@ -397,12 +398,8 @@ def _digest(parts) -> str:
 
 
 def _check_flags(args) -> None:
-    """The checks that read no file: tolerance and budget, then ``--max-n``
-    where a semigroup table is built."""
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise ParseError(
-            "--tolerance must be finite and nonnegative, got %r" % args.tolerance
-        )
+    """The checks that read no file: budget, then ``--max-n`` where a
+    semigroup table is built."""
     if args.budget < 0:
         raise ParseError("--budget must be nonnegative, got %d" % args.budget)
     if (args.command == "semigroup" or getattr(args, "semigroup", False)) and args.max_n < 0:
@@ -450,7 +447,7 @@ def cmd_compare(args, sys_obj, payload, rep):
         for mu in measures
     ]
     if args.oracle:
-        result["cuntz_oracle"] = cuntz_oracle(a, b, tol=args.tolerance)
+        result["cuntz_oracle"] = cuntz_oracle(a, b)
     if args.semigroup:
         W = type_semigroup(sys_obj, args.max_n, budget=args.budget)
         result["semigroup"] = {
@@ -555,7 +552,7 @@ def cmd_castle(args, sys_obj, payload, rep):
             certificates["map"] = ozm_payload(phi)
             result = {
                 "built": True,
-                "unit_image_norm": operator_norm(phi.unit_image()).value,
+                "unit_image_norm": operator_norm(phi.unit_image()),
             }
         else:
             recovered = decompose_ozm(phi)
@@ -604,11 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
         mode.add_argument(
             "--float", dest="float_mode", action="store_true",
             help="parse scalars as floats (exploratory mode)",
-        )
-        p.add_argument(
-            "--tolerance", type=float, default=1e-9,
-            help="float tolerance of compare --oracle; every other float "
-            "decision uses 1e-9",
         )
         p.add_argument(
             "--budget", type=int, default=500_000,
@@ -681,7 +673,7 @@ def main(argv=None) -> int:
                 "inputs": {"digest": _digest(inputs)},
                 "params": {
                     "mode": "float" if args.float_mode else "exact",
-                    "tolerance": args.tolerance,
+                    "tolerance": FLOAT_TOL,
                 },
                 "result": result,
                 "certificates": certificates,

@@ -38,13 +38,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import add, le, lt
-from typing import Iterable, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .algebra import (
     CrossedElement,
     DiagTuple,
     MatrixElement,
-    NORM_TOL,
+    _positivity_failure,
     matrix_orbit_blocks,
 )
 from .dynsys import DynSystem, InvariantMeasure, extreme_invariant_measures
@@ -392,13 +393,33 @@ class TypeSemigroup:
         return tuple(map(tuple, self._order.tolist()))
 
     @cached_property
-    def add(self) -> dict:
-        """The full addition table."""
+    def add(self) -> Mapping[tuple[int, int], Optional[int]]:
+        """The full addition table, read-only, so it cannot drift from
+        ``add_classes``."""
         table = {}
         for i in range(self.n_classes):
             for j in range(i, self.n_classes):
                 table[(i, j)] = table[(j, i)] = self.add_classes(i, j)
-        return table
+        return MappingProxyType(table)
+
+
+_COUNT_BITS = 14_000  # a count this long still prints (4,300 digits at most)
+
+
+def _candidate_count(m: int, max_n: int) -> Optional[int]:
+    """The number of mask multisets of size 0..max_n over m masks, or None
+    when it exceeds 2^_COUNT_BITS.
+
+    By the hockey-stick identity, sum_{k <= max_n} C(m + k - 1, k) is
+    C(m + max_n, max_n).  With k = min(m, max_n), C(m + max_n, k) is at
+    least 2^k, since each factor (m + max_n - k + i) / i of its product is
+    at least 2, so a large k is known to be too large without computing.
+    """
+    k = min(m, max_n)
+    if k > _COUNT_BITS:
+        return None
+    total = math.comb(m + max_n, k)
+    return None if total.bit_length() > _COUNT_BITS else total
 
 
 def type_semigroup(sys: DynSystem, max_n: int, budget: int = 500_000) -> TypeSemigroup:
@@ -412,7 +433,8 @@ def type_semigroup(sys: DynSystem, max_n: int, budget: int = 500_000) -> TypeSem
     other than the single zero tuple are skipped: dropping zero entries
     never changes a class, and the shorter stripped tuple is enumerated
     earlier.  Raises ResourceBound when more than ``budget`` candidates
-    would be enumerated, and PreconditionFailed for a negative max_n.
+    (or more than 2^14000, whatever the budget) would be enumerated, and
+    PreconditionFailed for a negative max_n.
 
     A count vector is encoded as one mixed-radix integer whose digit o is
     the count in orbit o, in base max_n * (largest orbit) + 1.  A tuple
@@ -424,12 +446,11 @@ def type_semigroup(sys: DynSystem, max_n: int, budget: int = 500_000) -> TypeSem
         raise PreconditionFailed("max_n must be nonnegative, got %d" % max_n)
     nx = sys.n_points
     nonzero_masks = range(1, 1 << nx)
-    total = 1 + sum(
-        math.comb(len(nonzero_masks) + k - 1, k) for k in range(1, max_n + 1)
-    )
-    if total > budget:
+    total = _candidate_count(len(nonzero_masks), max_n)
+    if total is None or total > budget:
         raise ResourceBound(
-            "semigroup enumeration needs %d candidates, budget is %d" % (total, budget)
+            "semigroup enumeration needs %s candidates, budget is %d"
+            % ("more than 2^%d" % _COUNT_BITS if total is None else total, budget)
         )
 
     base = max_n * max(map(len, sys.orbit_partition), default=0) + 1
@@ -492,38 +513,36 @@ def _as_matrix(a: Union[DiagTuple, CrossedElement]) -> MatrixElement:
     raise TypeError("expected a DiagTuple or CrossedElement")
 
 
-def _check_positive(a: Union[DiagTuple, CrossedElement], tol: float) -> None:
+def _check_positive(a: Union[DiagTuple, CrossedElement]) -> None:
     if isinstance(a, DiagTuple):
         return  # positivity is a construction invariant of DiagTuple
-    mat = a.rep_matrix()
-    if not np.allclose(mat, mat.conj().T, atol=tol):
-        raise NotPositive("element is not self-adjoint within tolerance")
-    eigs = np.linalg.eigvalsh(mat)
-    if eigs.size and eigs.min() < -tol:
-        raise NotPositive("element has an eigenvalue below -%g" % tol)
+    failure = _positivity_failure(a.system, ((a,),))
+    if failure is not None:
+        raise NotPositive(failure)
 
 
 def cuntz_oracle(
     a: Union[DiagTuple, CrossedElement],
     b: Union[DiagTuple, CrossedElement],
-    tol: float = NORM_TOL,
 ) -> bool:
     """Blockwise rank comparison: rank_O(a) <= rank_O(b) for every orbit.
 
     For a free action the crossed product is a direct sum of matrix
     algebras, one per orbit, where Cuntz subequivalence of positive
-    elements is exactly rank domination block by block.  Ranks are exact
-    for rational entries and float-with-tolerance otherwise.
+    elements is exactly rank domination block by block.  A crossed
+    element must be positive: hermitian within the absolute
+    ``scalars.FLOAT_TOL`` (1e-9) and with no eigenvalue below -FLOAT_TOL,
+    tested on one representation block per orbit; otherwise NotPositive
+    is raised.  Ranks are exact for rational entries and count singular
+    values above FLOAT_TOL otherwise.
     """
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.system is not mb.system:
         raise SystemMismatch("inputs over different systems")
     if not ma.system.is_free:
         raise NotFree("the rank oracle requires a free action")
-    _check_positive(a, tol)
-    _check_positive(b, tol)
+    _check_positive(a)
+    _check_positive(b)
     blocks_a = matrix_orbit_blocks(ma)
     blocks_b = matrix_orbit_blocks(mb)
-    return all(
-        ba.rank(tol) <= bb.rank(tol) for ba, bb in zip(blocks_a, blocks_b)
-    )
+    return all(ba.rank() <= bb.rank() for ba, bb in zip(blocks_a, blocks_b))

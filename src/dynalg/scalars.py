@@ -12,9 +12,8 @@ conjugation, inverses, comparisons and float conversion make no
 ``as_fraction()`` hand out the rational parts as Fractions.
 The carrier is closed under multiplication, division, conjugation and
 modulus.  Addition is exact only between like radicands or with zero;
-anything else raises :class:`RadicalAdditionMismatch`, which callers may
-turn into a float computation via :func:`rad_add` with ``mode="float"``
-or by working with :class:`FloatScalar` values throughout.
+anything else raises :class:`RadicalAdditionMismatch`; a caller that
+needs such sums works with :class:`FloatScalar` values throughout.
 """
 
 from __future__ import annotations
@@ -24,9 +23,9 @@ from math import gcd
 
 from .errors import ExactnessError, RadicalAdditionMismatch
 
-__all__ = ["RadScalar", "FloatScalar", "rad_add", "as_scalar"]
+__all__ = ["RadScalar", "FloatScalar", "as_scalar"]
 
-FLOAT_TOL = 1e-9
+FLOAT_TOL = 1e-9  # the absolute tolerance of every float decision in dynalg
 
 
 def _square_split(n: int) -> tuple[int, int]:
@@ -512,16 +511,6 @@ class FloatScalar:
         return "FloatScalar(%r)" % self.value
 
     __hash__ = None
-
-
-def rad_add(a: RadScalar, b: RadScalar, mode: str = "exact"):
-    """Add two scalars; ``mode="float"`` degrades to a float on mismatch."""
-    try:
-        return a + b
-    except RadicalAdditionMismatch:
-        if mode == "float":
-            return FloatScalar(complex(a) + complex(b))
-        raise
 
 
 def as_scalar(value):

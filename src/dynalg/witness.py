@@ -321,8 +321,8 @@ def prop_equivalence_suite(
         cert = compile_witness(a, b, eps, w)
         tmat = cert.t
         residual = (tmat.adjoint() * b.padded(n).to_matrix()) * tmat - a.padded(n).to_matrix()
-        res_norm = operator_norm(residual).value
-        tnorm = operator_norm(tmat).value
+        res_norm = operator_norm(residual)
+        tnorm = operator_norm(tmat)
         bound = float(eps) + float(cert.delta) * tnorm * tnorm + 1e-6
         results.append(
             EpsResult(eps, True, True, cert.delta, res_norm, bound)

@@ -531,7 +531,7 @@ def dense_verify_cpc(phi, tol: float = 1e-9) -> bool:
     eigs = np.linalg.eigvalsh(choi)
     if eigs.size and eigs.min() < -tol:
         return False
-    return operator_norm(phi.unit_image()).value <= 1 + tol
+    return operator_norm(phi.unit_image()) <= 1 + tol
 
 
 # -- representation builders, one loop per concept -----------------------------

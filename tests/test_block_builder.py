@@ -24,11 +24,12 @@ from dynalg import (
     point_block,
     regular_rep,
 )
-from dynalg.algebra import matrix_orbit_blocks
+from dynalg.algebra import _positivity_failure, matrix_orbit_blocks
 from dynalg.castles import OrderZeroMap, verify_cpc
 
 from _support import (
     COEFF_POOL,
+    dense_regular_rep,
     dense_verify_cpc,
     loop_point_block,
     quotient_system,
@@ -176,3 +177,36 @@ def test_choi_blocks_decide_like_the_dense_choi_matrix(fixed_point_system):
                 seen.add(verdict)
     assert seen == {True, False}
 
+
+
+def dense_positivity_failure(a):
+    """The positivity test on the full |G||X|-square representation."""
+    mat = dense_regular_rep(a)
+    if not np.allclose(mat, mat.conj().T, rtol=0, atol=1e-9):
+        return "element is not self-adjoint within tolerance"
+    eigs = np.linalg.eigvalsh(mat)
+    if eigs.size and eigs.min() < -1e-9:
+        return "element has an eigenvalue below -1e-09"
+    return None
+
+
+def test_orbit_positivity_decides_like_the_dense_representation(fixed_point_system):
+    """One block per orbit gives the dense verdict on a* a - c 1 for random
+    exact a, and on a itself, which is seldom self-adjoint."""
+    rng = random.Random(14)
+    seen, raw = set(), set()
+    for sys in systems(rng, fixed_point_system):
+        for _ in range(8):
+            a = random_element(rng, sys, POOLS["exact"])
+            gram = a.adjoint() * a
+            for c in (0, Fraction(1, 2), 1, 3):
+                shift = CrossedElement.from_func(Func(sys, [RadScalar(c)] * sys.n_points))
+                e = gram - shift
+                failure = _positivity_failure(sys, ((e,),))
+                assert failure == dense_positivity_failure(e)
+                seen.add(failure)
+            failure = _positivity_failure(sys, ((a,),))
+            assert failure == dense_positivity_failure(a)
+            raw.add(failure)
+    assert seen == {None, "element has an eigenvalue below -1e-09"}
+    assert "element is not self-adjoint within tolerance" in raw

@@ -191,6 +191,18 @@ def test_build_one_tower_z2(z2):
     assert verify_order_zero(phi) and verify_cpc(phi) and verify_normalizer_preserving(phi)
 
 
+def test_trivial_phases_follow_the_shapes(z2):
+    # one phase per shape element, so a huge n costs nothing before
+    # validate rejects the shape size
+    c = Castle(z2, ((frozenset({0}), (0, 1)),))
+    weights = (Func.indicator(z2, {0}),)
+    assert [len(row) for row in CastleOzmData.with_trivial_phases(c, weights, 2).phases] == [2]
+    data = CastleOzmData.with_trivial_phases(c, weights, 10**9)
+    assert [len(row) for row in data.phases] == [2]
+    with pytest.raises(InvalidCastleData, match="tower shape size differs from n"):
+        data.validate()
+
+
 def test_build_empty_castle(z2):
     data = CastleOzmData(castle=Castle(z2, ()), weights=(), phases=(), n=2)
     phi = build_castle_ozm(data)

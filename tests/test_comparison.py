@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from dynalg import (
     Func,
     IndexOutOfRange,
     InvariantMeasure,
+    MatrixElement,
     NotFree,
+    NotPositive,
     PreconditionFailed,
     RadScalar,
     ResourceBound,
@@ -31,6 +34,7 @@ from dynalg import (
     type_semigroup,
 )
 
+import dynalg.algebra
 import dynalg.comparison
 from _support import (
     backtracking_subequivalence,
@@ -428,6 +432,36 @@ def test_semigroup_budget(z3):
         type_semigroup(z3, max_n=3, budget=10)
 
 
+def test_semigroup_budget_counted_in_closed_form(z2):
+    # C(m + max_n, max_n) candidates over m = 2^|X| - 1 nonzero masks, by
+    # the hockey-stick identity; no loop runs to max_n
+    for m in range(20):
+        for max_n in range(8):
+            expected = 1 + sum(math.comb(m + k - 1, k) for k in range(1, max_n + 1))
+            assert dynalg.comparison._candidate_count(m, max_n) == expected
+    with pytest.raises(ResourceBound) as exc:
+        type_semigroup(z2, 10**12)
+    assert str(exc.value) == (
+        "semigroup enumeration needs %d candidates, budget is 500000" % math.comb(3 + 10**12, 3)
+    )
+    # a count too long to print as a decimal string
+    with pytest.raises(ResourceBound) as exc:
+        type_semigroup(DynSystem.translation(FiniteGroup.cyclic(16)), 3000)
+    assert str(exc.value) == (
+        "semigroup enumeration needs more than 2^14000 candidates, budget is 500000"
+    )
+
+
+def test_semigroup_add_table_is_read_only(z2):
+    W = type_semigroup(z2, 2)
+    with pytest.raises(TypeError):
+        W.add[(1, 1)] = 0
+    assert W.add[(1, 1)] == W.add_classes(1, 1) == 2
+    assert dict(W.add) == {
+        (i, j): W.add_classes(i, j) for i in range(W.n_classes) for j in range(W.n_classes)
+    }
+
+
 def test_semigroup_order_compatible_with_addition(z2):
     W = type_semigroup(z2, max_n=2)
     for i in range(W.n_classes):
@@ -528,6 +562,36 @@ def test_oracle_on_crossed_elements(z3):
     b = CrossedElement.unit(z3)
     assert cuntz_oracle(a, b)
     assert not cuntz_oracle(b, a)
+
+
+def test_oracle_rejects_elements_not_self_adjoint_within_tolerance(z3):
+    # the hermitian test is absolute: a relative tolerance would pass both
+    unit = CrossedElement.unit(z3)
+    for value in (RadScalar(1000, Fraction(1, 1000)), RadScalar(1, Fraction(1, 10**7))):
+        a = CrossedElement.from_func(Func.from_dict(z3, {0: value}))
+        with pytest.raises(NotPositive) as exc:
+            cuntz_oracle(a, unit)
+        assert str(exc.value) == "element is not self-adjoint within tolerance"
+
+
+def test_oracle_rejects_a_negative_eigenvalue(z3):
+    a = CrossedElement.from_func(Func.from_dict(z3, {0: RadScalar(-1)}))
+    with pytest.raises(NotPositive) as exc:
+        cuntz_oracle(CrossedElement.unit(z3), a)
+    assert str(exc.value) == "element has an eigenvalue below -1e-09"
+
+
+def test_oracle_builds_no_dense_representation(z3, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("dense representation built")
+
+    monkeypatch.setattr(dynalg.algebra, "regular_rep", forbidden)
+    monkeypatch.setattr(dynalg.algebra, "_rep", forbidden)
+    monkeypatch.setattr(CrossedElement, "rep_matrix", forbidden)
+    monkeypatch.setattr(MatrixElement, "rep_matrix", forbidden)
+    a = CrossedElement.from_func(Func.indicator(z3, {0}))
+    b = CrossedElement.unit(z3)
+    assert cuntz_oracle(a, b) and not cuntz_oracle(b, a)
 
 
 def test_subequivalence_implies_oracle():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dynalg import ExactnessError, FloatScalar, RadicalAdditionMismatch, RadScalar, rad_add
+from dynalg import ExactnessError, FloatScalar, RadicalAdditionMismatch, RadScalar
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -32,12 +32,6 @@ def test_additive_identity():
 def test_unlike_radicals_raise():
     with pytest.raises(RadicalAdditionMismatch):
         RadScalar(1, 0, 2) + RadScalar(1, 0, 3)
-
-
-def test_rad_add_float_fallback():
-    out = rad_add(RadScalar(1, 0, 2), RadScalar(1, 0, 3), mode="float")
-    assert isinstance(out, FloatScalar)
-    assert abs(out.value - (2 ** 0.5 + 3 ** 0.5)) < 1e-12
 
 
 def test_canonical_form_extracts_squares():
