@@ -19,7 +19,11 @@ the argument in its docstring.  Float data (any ``FloatScalar`` weight or
 phase value) is not covered by that argument, because ``validate``
 accepts unit moduli and norm bounds within a tolerance that can add up
 past the verifiers' own; its maps are verified after assembly.
-``decompose_ozm`` accepts arbitrary maps and always verifies its input.
+``decompose_ozm`` accepts arbitrary maps.  It extracts castle data first
+and returns it when the data's map equals the input exactly, which
+proves the input by the same argument; the verifiers run only on a map
+that extraction rejects, so that it gets the error of the first check
+it fails.
 
 A finite space carries only finitely many disjoint levels, so castles
 here always have finitely many towers and the norm-decay condition a
@@ -54,6 +58,7 @@ from .algebra import CrossedElement, Func, _positivity_failure, operator_norm
 from .comparison import Witness, search_subequivalence
 from .dynsys import DynSystem
 from .errors import (
+    DynalgError,
     EmptyShape,
     ExactnessError,
     InvalidCastle,
@@ -501,8 +506,17 @@ def decompose_ozm(phi: OrderZeroMap) -> CastleOzmData:
     have pairwise disjoint supports; partitioning the support of
     phi(e_11) by the induced (group-vector, value) profile produces the
     tower bases, weights, and phases.  The rebuilt map is compared to phi
-    exactly before returning; phi has passed the three verifiers, so the
-    rebuilt map is not verified again.
+    exactly before returning.
+
+    Extraction runs first, without the verifiers: when it succeeds, phi
+    is the map of valid exact castle data, which is cpc, order zero and
+    normalizer-preserving by the argument in ``build_castle_ozm``.  When
+    it fails, the checks run in order (adjoint symmetry, order zero, cpc,
+    normalizers) and the first failure is raised; if all pass, the
+    extraction error is.  A rejected map therefore gets the error of the
+    first check it fails, as if every check ran up front.  As in
+    ``build_castle_ozm``, an exact map whose float Choi test would fail by
+    rounding alone decomposes.
     """
     sys = phi.system
     if not sys.is_free:
@@ -510,6 +524,10 @@ def decompose_ozm(phi: OrderZeroMap) -> CastleOzmData:
     n = phi.n
     if n < 1:
         raise PreconditionFailed("decomposition needs n >= 1, got %d" % n)
+    try:
+        return _extract(phi)
+    except DynalgError as exc:
+        failure = exc
     for i in range(n):
         for j in range(i, n):
             if phi.images[(i, j)].adjoint() != phi.images[(j, i)]:
@@ -520,8 +538,16 @@ def decompose_ozm(phi: OrderZeroMap) -> CastleOzmData:
         raise NotOrderZero("map is not completely positive contractive")
     if not verify_normalizer_preserving(phi):
         raise NotNormalizerPreserving("some matrix-unit image is not a normalizer")
+    raise failure
 
+
+def _extract(phi: OrderZeroMap) -> CastleOzmData:
+    """The castle data whose map is exactly phi; raises only typed errors."""
+    sys = phi.system
+    n = phi.n
     grp = sys.group
+    if not phi.images[(0, 0)].in_diagonal:
+        raise NotOrderZero("phi(e_11) is not in C(X)")
     f0 = phi.images[(0, 0)].as_func()
     if not f0.is_positive:
         raise NotOrderZero("phi(e_11) is not positive")

@@ -18,7 +18,10 @@ Every request takes one path, through ``main``:
    standard output.
 
 The report's fields are ``command``; ``inputs.digest``, the SHA-256 of
-the canonical JSON of the inputs; ``params``, the ``mode`` and the
+the canonical JSON of the inputs: the system file's payload, the JSON of
+every other file the command reads (for an ``@file`` tuple entry too, in
+place of its path), and flags that give data, such as ``--epsilon`` and
+``--identity``; ``params``, the ``mode`` and the
 ``tolerance``, which echoes ``scalars.FLOAT_TOL`` (1e-9), the absolute
 tolerance of every float decision; ``result``; ``certificates``;
 ``margins``, the float margins of a stability check; and ``runtime_s``,
@@ -234,6 +237,7 @@ def element_payload(a: CrossedElement):
 
 
 def parse_diag_entry(sys_obj: DynSystem, spec: str, float_mode: bool = False) -> Func:
+    """A ``chi:...`` or ``zero`` entry; ``parse_diag_tuple`` reads ``@file``."""
     if spec == "zero":
         return Func.zero(sys_obj)
     if spec.startswith("chi:"):
@@ -243,15 +247,25 @@ def parse_diag_entry(sys_obj: DynSystem, spec: str, float_mode: bool = False) ->
         except KeyError as exc:
             raise ParseError("unknown point label %s" % exc)
         return Func.indicator(sys_obj, pts)
-    if spec.startswith("@"):
-        return parse_func(sys_obj, _load_json(spec[1:]), float_mode)
     raise ParseError("bad tuple entry %r (use chi:..., zero, or @file)" % spec)
 
 
-def parse_diag_tuple(sys_obj, specs, float_mode=False) -> DiagTuple:
+def parse_diag_tuple(sys_obj, specs, float_mode=False):
+    """The tuple of the entries ``specs``, and the entries as a report's
+    inputs show them: each ``@file`` entry's loaded JSON in place of its
+    path.  Each entry is read and parsed before the next one."""
     if not specs:
         raise ParseError("empty diagonal tuple")
-    return DiagTuple(sys_obj, tuple(parse_diag_entry(sys_obj, s, float_mode) for s in specs))
+    entries, shown = [], []
+    for spec in specs:
+        if spec.startswith("@"):
+            given = _load_json(spec[1:])
+            entries.append(parse_func(sys_obj, given, float_mode))
+            shown.append(given)
+        else:
+            entries.append(parse_diag_entry(sys_obj, spec, float_mode))
+            shown.append(spec)
+    return DiagTuple(sys_obj, tuple(entries)), shown
 
 
 def parse_witness(sys_obj: DynSystem, payload) -> Witness:
@@ -431,8 +445,8 @@ def cmd_system_check(args, sys_obj, payload, rep):
 
 
 def cmd_compare(args, sys_obj, payload, rep):
-    a = parse_diag_tuple(sys_obj, args.a, args.float_mode)
-    b = parse_diag_tuple(sys_obj, args.b, args.float_mode)
+    a, a_shown = parse_diag_tuple(sys_obj, args.a, args.float_mode)
+    b, b_shown = parse_diag_tuple(sys_obj, args.b, args.float_mode)
     holds, w = diag_subequivalent(a, b)
     result = {"subequivalent": holds}
     certificates = {}
@@ -455,29 +469,32 @@ def cmd_compare(args, sys_obj, payload, rep):
             "class_of_a": W.class_of(a),
             "class_of_b": W.class_of(b),
         }
-    inputs = {"system": payload, "a": args.a, "b": args.b}
+    inputs = {"system": payload, "a": a_shown, "b": b_shown}
     return "compare", inputs, result, certificates, {}
 
 
 def cmd_witness(args, sys_obj, payload, rep):
-    a = parse_diag_tuple(sys_obj, args.a, args.float_mode)
-    b = parse_diag_tuple(sys_obj, args.b, args.float_mode)
+    a, a_shown = parse_diag_tuple(sys_obj, args.a, args.float_mode)
+    b, b_shown = parse_diag_tuple(sys_obj, args.b, args.float_mode)
     command = "witness-" + args.verb
-    inputs = {"system": payload, "a": args.a, "b": args.b, "verb": args.verb}
+    inputs = {"system": payload, "a": a_shown, "b": b_shown, "verb": args.verb}
     certificates = {}
     if args.verb == "extract":
         if not args.certificate:
             raise ParseError("witness extract needs --certificate")
-        eps, delta, t = parse_certificate(
-            sys_obj, _load_json(args.certificate), args.float_mode
-        )
+        given = _load_json(args.certificate)
+        inputs["certificate"] = given
+        eps, delta, t = parse_certificate(sys_obj, given, args.float_mode)
         w = extract_witness(a, b, eps, delta, t)
         certificates["witness"] = witness_payload(sys_obj, w)
         return command, inputs, {"extracted": True}, certificates, {}
 
     eps = parse_fraction(args.epsilon)
+    inputs["epsilon"] = str(eps)
     if args.witness_file:
-        w = parse_witness(sys_obj, _load_json(args.witness_file))
+        given = _load_json(args.witness_file)
+        inputs["witness"] = given
+        w = parse_witness(sys_obj, given)
     else:
         w = search_subequivalence(
             sys_obj, a.cutdown(eps).supports(), b.supports()
@@ -520,9 +537,11 @@ def cmd_castle(args, sys_obj, payload, rep):
         inst = parse_tzs_instance(sys_obj, given, args.float_mode)
         inputs["instance"] = given
         if args.identity:
+            inputs["identity"] = True
             phi = identity_embedding(sys_obj)
         elif args.data:
             data = parse_ozm_data(sys_obj, _load_json(args.data), args.float_mode)
+            inputs["data"] = ozm_data_payload(data)
             phi = build_castle_ozm(data)
         else:
             raise ParseError("castle tzs needs --data or --identity")

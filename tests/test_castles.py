@@ -9,6 +9,7 @@ from dynalg import (
     CastleOzmData,
     CrossedElement,
     EmptyShape,
+    ExactnessError,
     FloatScalar,
     Func,
     InvalidCastleData,
@@ -628,18 +629,22 @@ def test_exact_castle_maps_pass_every_verifier(data):
         assert build_castle_ozm(recovered) == phi
 
 
+VERIFIERS = ("verify_order_zero", "verify_cpc", "verify_normalizer_preserving")
+
+
 def _patch_verifiers(monkeypatch, replacement):
-    for name in ("verify_order_zero", "verify_cpc", "verify_normalizer_preserving"):
+    for name in VERIFIERS:
         monkeypatch.setattr(castles, name, replacement(name))
 
 
-def test_exact_build_calls_no_verifier(monkeypatch, z4):
-    def refuse(name):
-        def call(phi):
-            raise AssertionError("%s called on exact data" % name)
-        return call
+def _refuse(name):
+    def call(phi):
+        raise AssertionError("%s called on exact data" % name)
+    return call
 
-    _patch_verifiers(monkeypatch, refuse)
+
+def test_exact_build_calls_no_verifier(monkeypatch, z4):
+    _patch_verifiers(monkeypatch, _refuse)
     c = Castle(z4, ((frozenset({0}), (0, 1)), (frozenset({2}), (0, 1))))
     weights = (
         Func.from_dict(z4, {0: RadScalar(1)}),
@@ -666,3 +671,118 @@ def test_float_build_calls_every_verifier(monkeypatch, z2):
     theta = Func.from_dict(z2, {0: FloatScalar(1.0)})
     build_castle_ozm(CastleOzmData(castle=c, weights=(f,), phases=((f, theta),), n=2))
     assert calls == ["verify_order_zero", "verify_cpc", "verify_normalizer_preserving"]
+
+
+# -- decomposition extracts first ---------------------------------------------------
+
+
+def _not_adjoint_symmetric(sys):
+    phi = identity_embedding(sys)
+    images = dict(phi.images)
+    images[(1, 0)] = CrossedElement.zero(sys)
+    return OrderZeroMap(sys, 2, images)
+
+
+def _flat(sys):
+    third = CrossedElement.unit(sys).scaled(Fraction(1, 3))
+    return OrderZeroMap(sys, 2, {(i, j): third for i in range(2) for j in range(2)})
+
+
+def _noncontractive(sys):
+    f0 = Func.indicator(sys, {0})
+    return OrderZeroMap(sys, 1, {(0, 0): CrossedElement.from_func(f0).scaled(2)})
+
+
+def _not_normalizer(sys):
+    # (bad* bad)/2 is a positive contraction outside the normalizers
+    f0 = Func.indicator(sys, {0})
+    bad = CrossedElement.from_func(f0) + CrossedElement.monomial(f0, 1)
+    return OrderZeroMap(sys, 1, {(0, 0): (bad.adjoint() * bad).scaled(Fraction(1, 2))})
+
+
+def _float_weight(sys):
+    f = Func.from_dict(sys, {0: FloatScalar(0.5)})
+    c = Castle(sys, ((frozenset({0}), (0, 1)),))
+    return build_castle_ozm(CastleOzmData.with_trivial_phases(c, (f,), 2))
+
+
+def _off_diagonal_corner(sys):
+    # the projection (1 + u_1)/2 is positive and contractive, and phi(e_11)
+    # lies outside C(X)
+    one = Func.indicator(sys, range(sys.n_points))
+    p = (CrossedElement.from_func(one) + CrossedElement.monomial(one, 1)).scaled(Fraction(1, 2))
+    return OrderZeroMap(sys, 1, {(0, 0): p})
+
+
+def _negative_within_tolerance(sys):
+    # phi(e_11)(0) = -1e-12 passes the float Choi test, so every verifier
+    # passes and only extraction finds phi(e_11) not positive
+    f = Func.from_dict(sys, {0: RadScalar(Fraction(-1, 10**12))})
+    return OrderZeroMap(sys, 1, {(0, 0): CrossedElement.from_func(f)})
+
+
+# name -> (map builder, system fixture, error, message, number of verifiers
+# run, in the order of VERIFIERS)
+REJECTED_MAPS = {
+    "not_adjoint_symmetric": (
+        _not_adjoint_symmetric, "z2", NotOrderZero, "images are not adjoint-symmetric", 0,
+    ),
+    "not_order_zero": (
+        _flat, "z3", NotOrderZero, "map fails the exact order-zero relations", 1,
+    ),
+    "not_cpc": (
+        _noncontractive, "z3", NotOrderZero, "map is not completely positive contractive", 2,
+    ),
+    "not_normalizer_preserving": (
+        _not_normalizer, "z3", NotNormalizerPreserving,
+        "some matrix-unit image is not a normalizer", 3,
+    ),
+    "float_scalars": (
+        _float_weight, "z2", ExactnessError,
+        "decomposition needs exact scalars, found FloatScalar((0.5+0j))", 3,
+    ),
+    "off_diagonal_corner": (
+        _off_diagonal_corner, "z2", NotNormalizerPreserving,
+        "some matrix-unit image is not a normalizer", 3,
+    ),
+    "negative_within_tolerance": (
+        _negative_within_tolerance, "z2", NotOrderZero, "phi(e_11) is not positive", 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_MAPS))
+def test_decompose_rejection_parity(request, monkeypatch, case):
+    """Each rejected map raises the error of the first check it fails, in
+    the order adjoint symmetry, order zero, cpc, normalizers, extraction;
+    the verifiers that run are exactly that order's prefix."""
+    make, fixture, error, message, n_verifiers = REJECTED_MAPS[case]
+    phi = make(request.getfixturevalue(fixture))
+    calls = []
+
+    def record(name):
+        verifier = getattr(castles, name)
+
+        def call(psi):
+            calls.append(name)
+            return verifier(psi)
+        return call
+
+    _patch_verifiers(monkeypatch, record)
+    with pytest.raises(error) as info:
+        decompose_ozm(phi)
+    assert type(info.value) is error and str(info.value) == message
+    assert calls == list(VERIFIERS[:n_verifiers])
+
+
+def test_decompose_of_exact_castle_maps_calls_no_verifier(monkeypatch, z2):
+    rng = random.Random(53)
+    maps = [identity_embedding(z2), OrderZeroMap.zero(z2, 2)]
+    while len(maps) < 20:
+        sys = random_free_system(rng, max_points=8)
+        data = random_castle_data(rng, sys, rng.randint(1, min(3, sys.group.order)))
+        if data is not None:
+            maps.append(build_castle_ozm(data))
+    _patch_verifiers(monkeypatch, _refuse)
+    for phi in maps:
+        assert build_castle_ozm(decompose_ozm(phi)) == phi

@@ -520,6 +520,40 @@ def test_reports_byte_identical_modulo_runtime(capsys, z3_file):
     assert strip_runtime(out1) == strip_runtime(out2)
 
 
+def test_digest_identifies_the_inputs(capsys, tmp_path, z3_file):
+    """Two runs whose inputs differ in castle data, epsilon or the
+    contents of an ``@file`` entry print different digests; two paths to
+    the same contents print the same one."""
+
+    def digest(argv):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0, argv
+        return json.loads(out)["inputs"]["digest"]
+
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 3, "epsilon": "1/10", "F": [], "h": [["0", "1"]]}))
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({
+        "towers": [{"base": ["0"], "shape": ["0", "1", "2"]}], "n": 3, "weights": [[["0", "1"]]],
+    }))
+    tzs = ["castle", "tzs", "--system", z3_file, "--instance", str(inst)]
+    assert digest(tzs + ["--data", str(data)]) != digest(tzs + ["--identity"])
+
+    compile_ = ["witness", "compile", "--system", z3_file, "--a", "chi:0", "--b", "chi:1,2"]
+    assert digest(compile_ + ["--epsilon", "1/3"]) != digest(compile_ + ["--epsilon", "1/2"])
+    assert digest(compile_ + ["--epsilon", "1/2"]) == digest(compile_)
+
+    func = tmp_path / "f.json"
+    copy = tmp_path / "copy.json"
+    compare = ["compare", "--system", z3_file, "--b", "chi:0"]
+    func.write_text(json.dumps([["0", "1/2"]]))
+    first = digest(compare + ["--a", "@" + str(func)])
+    copy.write_text(func.read_text())
+    assert digest(compare + ["--a", "@" + str(copy)]) == first
+    func.write_text(json.dumps([["0", "1/3"]]))
+    assert digest(compare + ["--a", "@" + str(func)]) != first
+
+
 def test_repeated_calls_share_no_state(capsys, z3_file):
     # main parses with one parser per process; flags, appended tuple
     # entries and defaults of one call must not reach the next
