@@ -457,16 +457,13 @@ class MatrixElement:
         return cls(system, tuple((z,) * n for _ in range(n)))
 
     @classmethod
-    def diag(cls, system: DynSystem, funcs: Sequence[Func], n: Optional[int] = None) -> "MatrixElement":
-        n = n if n is not None else len(funcs)
-        if len(funcs) > n:
-            raise ValueError("too many diagonal entries")
+    def diag(cls, system: DynSystem, funcs: Sequence[Func]) -> "MatrixElement":
+        n = len(funcs)
         z = CrossedElement.zero(system)
         rows = []
-        for i in range(n):
+        for i, f in enumerate(funcs):
             row = [z] * n
-            if i < len(funcs):
-                row[i] = CrossedElement.from_func(funcs[i])
+            row[i] = CrossedElement.from_func(f)
             rows.append(tuple(row))
         return cls(system, rows)
 
@@ -591,8 +588,8 @@ class DiagTuple:
         z = Func.zero(self.system)
         return DiagTuple(self.system, self.entries + (z,) * (n - len(self.entries)))
 
-    def to_matrix(self, n: Optional[int] = None) -> MatrixElement:
-        return MatrixElement.diag(self.system, self.entries, n)
+    def to_matrix(self) -> MatrixElement:
+        return MatrixElement.diag(self.system, self.entries)
 
     @property
     def is_zero(self) -> bool:
@@ -698,10 +695,7 @@ def operator_norm(a) -> float:
     """
     if a.is_zero:
         return 0.0
-    mat = a.rep_matrix()
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.norm(mat, 2))
+    return float(np.linalg.norm(a.rep_matrix(), 2))
 
 
 @dataclass(frozen=True)

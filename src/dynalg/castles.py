@@ -54,8 +54,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .algebra import CrossedElement, Func, _positivity_failure, operator_norm
-from .comparison import Witness, search_subequivalence
+from .algebra import CrossedElement, DiagTuple, Func, _positivity_failure, operator_norm
+from .comparison import Witness, diag_subequivalent, search_subequivalence
 from .dynsys import DynSystem
 from .errors import (
     DynalgError,
@@ -197,11 +197,10 @@ def almost_finiteness_certificate(
         for (_, shape), prime in zip(castle.towers, primes)
     )
     remainder = frozenset(range(sys.n_points)) - castle.footprint()
-    target: set[int] = set()
-    for (base, shape), prime in zip(castle.towers, primes):
-        for s in prime:
-            target |= {sys.act[s][x] for x in base}
-    witness = search_subequivalence(sys, [remainder], [frozenset(target)])
+    target = frozenset().union(
+        *(level for t, s, level in castle.levels() if s in primes[t])
+    )
+    witness = search_subequivalence(sys, [remainder], [target])
     remainder_ok = witness is not None
     diameter_ok = None
     if strict_diameter:
@@ -219,7 +218,7 @@ def almost_finiteness_certificate(
         prime_size_ok=prime_size_ok,
         remainder_ok=remainder_ok,
         remainder=remainder,
-        target=frozenset(target),
+        target=target,
         witness=witness,
         diameter_ok=diameter_ok,
     )
@@ -480,15 +479,23 @@ def verify_cpc(phi: OrderZeroMap) -> bool:
     float tests use the absolute ``scalars.FLOAT_TOL`` (1e-9); the norm
     bound is 1 + FLOAT_TOL.
     """
+    if not _adjoint_symmetric(phi):
+        return False
     n = phi.n
-    for i in range(n):
-        for j in range(i, n):
-            if phi.images[(i, j)].adjoint() != phi.images[(j, i)]:
-                return False
     images = [[phi.images[(i, j)] for j in range(n)] for i in range(n)]
     if _positivity_failure(phi.system, images) is not None:
         return False
     return operator_norm(phi.unit_image()) <= 1 + FLOAT_TOL
+
+
+def _adjoint_symmetric(phi: OrderZeroMap) -> bool:
+    """Exact phi(e_ij)* = phi(e_ji) for all i, j."""
+    n = phi.n
+    return all(
+        phi.images[(i, j)].adjoint() == phi.images[(j, i)]
+        for i in range(n)
+        for j in range(i, n)
+    )
 
 
 def verify_normalizer_preserving(phi: OrderZeroMap) -> bool:
@@ -528,10 +535,8 @@ def decompose_ozm(phi: OrderZeroMap) -> CastleOzmData:
         return _extract(phi)
     except DynalgError as exc:
         failure = exc
-    for i in range(n):
-        for j in range(i, n):
-            if phi.images[(i, j)].adjoint() != phi.images[(j, i)]:
-                raise NotOrderZero("images are not adjoint-symmetric")
+    if not _adjoint_symmetric(phi):
+        raise NotOrderZero("images are not adjoint-symmetric")
     if not verify_order_zero(phi):
         raise NotOrderZero("map fails the exact order-zero relations")
     if not verify_cpc(phi):
@@ -660,34 +665,6 @@ class TzsReport:
             and self.commutator_condition
         )
 
-    def to_json(self) -> str:
-        import json
-
-        payload = {
-            "normalizer_condition": self.normalizer_condition,
-            "remainder_condition": self.remainder_condition,
-            "remainder_witness": _witness_payload(self.remainder_witness),
-            "commutator_condition": self.commutator_condition,
-            "commutator_margins": [
-                [a, i, j, repr(v)] for a, i, j, v in self.commutator_margins
-            ],
-            "commutator_bound_factor": self.commutator_bound_factor,
-            "max_commutator": repr(self.max_commutator),
-            "epsilon": str(self.epsilon),
-            "notes": list(self.notes),
-        }
-        return json.dumps(payload, sort_keys=True)
-
-
-def _witness_payload(w: Optional[Witness]):
-    if w is None:
-        return None
-    return [
-        [[sorted(U), s, k] for U, s, k in row]
-        for row in w.rows
-    ]
-
-
 def check_tzs_instance(inst: TzsInstance, phi: OrderZeroMap) -> TzsReport:
     """Evaluate the three instance conditions for a candidate map.
 
@@ -707,9 +684,6 @@ def check_tzs_instance(inst: TzsInstance, phi: OrderZeroMap) -> TzsReport:
         if rem.in_diagonal:
             rem_f = rem.as_func()
             if rem_f.is_positive:
-                from .algebra import DiagTuple
-                from .comparison import diag_subequivalent
-
                 cond_ii, witness = diag_subequivalent(
                     DiagTuple(sys, (rem_f,)), DiagTuple(sys, (inst.h,))
                 )

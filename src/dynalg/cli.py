@@ -20,14 +20,14 @@ Every request takes one path, through ``main``:
 The report's fields are ``command``; ``inputs.digest``, the SHA-256 of
 the canonical JSON of the inputs: the system file's payload, the JSON of
 every other file the command reads (for an ``@file`` tuple entry too, in
-place of its path), and flags that give data, such as ``--epsilon`` and
-``--identity``; ``params``, the ``mode`` and the
-``tolerance``, which echoes ``scalars.FLOAT_TOL`` (1e-9), the absolute
-tolerance of every float decision; ``result``; ``certificates``;
-``margins``, the float margins of a stability check; and ``runtime_s``,
-the seconds from step 3 to step 6.  An error at any step prints one
-``{"error", "message"}`` object on standard error and exits 1, with
-nothing on standard output.
+place of its path), and flags that give data, such as ``--epsilon``,
+``--identity`` and the ``--max-n`` of a semigroup table; ``params``, the
+``mode`` and the ``tolerance``, which echoes ``scalars.FLOAT_TOL``
+(1e-9), the absolute tolerance of every float decision; ``result``;
+``certificates``; ``margins``, the float margins of a stability check;
+and ``runtime_s``, the seconds from step 3 to step 6.  An error at any
+step prints one ``{"error", "message"}`` object on standard error and
+exits 1, with nothing on standard output.
 
 File formats
 ------------
@@ -236,7 +236,7 @@ def element_payload(a: CrossedElement):
     }
 
 
-def parse_diag_entry(sys_obj: DynSystem, spec: str, float_mode: bool = False) -> Func:
+def parse_diag_entry(sys_obj: DynSystem, spec: str) -> Func:
     """A ``chi:...`` or ``zero`` entry; ``parse_diag_tuple`` reads ``@file``."""
     if spec == "zero":
         return Func.zero(sys_obj)
@@ -263,7 +263,7 @@ def parse_diag_tuple(sys_obj, specs, float_mode=False):
             entries.append(parse_func(sys_obj, given, float_mode))
             shown.append(given)
         else:
-            entries.append(parse_diag_entry(sys_obj, spec, float_mode))
+            entries.append(parse_diag_entry(sys_obj, spec))
             shown.append(spec)
     return DiagTuple(sys_obj, tuple(entries)), shown
 
@@ -447,6 +447,7 @@ def cmd_system_check(args, sys_obj, payload, rep):
 def cmd_compare(args, sys_obj, payload, rep):
     a, a_shown = parse_diag_tuple(sys_obj, args.a, args.float_mode)
     b, b_shown = parse_diag_tuple(sys_obj, args.b, args.float_mode)
+    inputs = {"system": payload, "a": a_shown, "b": b_shown}
     holds, w = diag_subequivalent(a, b)
     result = {"subequivalent": holds}
     certificates = {}
@@ -469,7 +470,7 @@ def cmd_compare(args, sys_obj, payload, rep):
             "class_of_a": W.class_of(a),
             "class_of_b": W.class_of(b),
         }
-    inputs = {"system": payload, "a": a_shown, "b": b_shown}
+        inputs["max_n"] = args.max_n
     return "compare", inputs, result, certificates, {}
 
 

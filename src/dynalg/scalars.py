@@ -14,6 +14,10 @@ The carrier is closed under multiplication, division, conjugation and
 modulus.  Addition is exact only between like radicands or with zero;
 anything else raises :class:`RadicalAdditionMismatch`; a caller that
 needs such sums works with :class:`FloatScalar` values throughout.
+Mixed exact/float arithmetic and equality are defined in
+:class:`FloatScalar` alone: a ``RadScalar`` operator returns
+``NotImplemented`` for a float operand, and Python calls the reflected
+``FloatScalar`` method, which computes on ``complex(r)``.
 """
 
 from __future__ import annotations
@@ -170,8 +174,6 @@ class RadScalar:
 
     def __add__(self, other):
         if type(other) is not RadScalar:
-            if isinstance(other, FloatScalar):
-                return FloatScalar(complex(self) + other.value)
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
@@ -205,8 +207,6 @@ class RadScalar:
         return _trusted(-self.p, -self.q, self.d, self.rad)
 
     def __sub__(self, other):
-        if isinstance(other, FloatScalar):
-            return FloatScalar(complex(self) - other.value)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -220,8 +220,6 @@ class RadScalar:
 
     def __mul__(self, other):
         if type(other) is not RadScalar:
-            if isinstance(other, FloatScalar):
-                return FloatScalar(complex(self) * other.value)
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
@@ -279,8 +277,6 @@ class RadScalar:
         return _trusted(p, q, n, rad)
 
     def __truediv__(self, other):
-        if isinstance(other, FloatScalar):
-            return FloatScalar(complex(self) / other.value)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -345,8 +341,6 @@ class RadScalar:
             )
         if isinstance(other, (int, Fraction)):
             return self == self._coerce(other)
-        if isinstance(other, FloatScalar):
-            return other == self
         return NotImplemented
 
     def __hash__(self):
@@ -407,8 +401,11 @@ ONE = RadScalar(1)
 class FloatScalar:
     """Floating-point stand-in with the same operation surface.
 
-    Used by the exploratory float mode; zero tests and equality carry an
-    absolute tolerance of ``1e-9``.
+    Used by the exploratory float mode; zero tests and equality carry the
+    absolute tolerance ``FLOAT_TOL``.  Its operators, reflected ones
+    included, are the only definition of arithmetic and equality between
+    a ``RadScalar`` r and a ``FloatScalar`` f: each gives the FloatScalar
+    of the complex operation on ``complex(r)`` and ``f.value``.
     """
 
     __slots__ = ("value",)
@@ -470,6 +467,10 @@ class FloatScalar:
     def __truediv__(self, other):
         v = self._val(other)
         return NotImplemented if v is None else FloatScalar(self.value / v)
+
+    def __rtruediv__(self, other):
+        v = self._val(other)
+        return NotImplemented if v is None else FloatScalar(v / self.value)
 
     def conjugate(self):
         return FloatScalar(self.value.conjugate())

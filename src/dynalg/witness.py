@@ -47,7 +47,7 @@ from .normalizers import (
     is_r_normalizer,
     matrix_is_r_normalizer,
 )
-from .scalars import RadScalar
+from .scalars import FLOAT_TOL, RadScalar
 
 __all__ = [
     "CompiledWitness",
@@ -114,26 +114,22 @@ def compile_witness(
                     pieces.setdefault((i, j), set()).add(p)
                     break
 
-    # delta: half the minimum of b over the translated witness pieces.
-    min_val: Optional[Fraction] = None
-    for (i, j), pts in pieces.items():
-        _, s, k = w.rows[i][j]
-        for p in pts:
-            v = b.entries[k](sys.act[s][p]).as_fraction()
-            if min_val is None or v < min_val:
-                min_val = v
-    delta = min_val / 2 if min_val is not None else Fraction(1)
-
     # Square-root partition of (a_i - eps)_+ along the disjointified cover.
     roots: dict[tuple[int, int], Func] = {}
     for (i, j), pts in pieces.items():
         roots[(i, j)] = acut.entries[i].restrict(pts).sqrt()
 
-    # Inverse square roots of (b_l - delta)_+ on the needed footprint.
+    # The translated witness footprint, by target index.
     footprint: dict[int, set] = {}
     for (i, j), pts in pieces.items():
         _, s, k = w.rows[i][j]
         footprint.setdefault(k, set()).update(sys.act[s][p] for p in pts)
+
+    # delta: half the minimum of b over the footprint.
+    values = [b.entries[l](q).as_fraction() for l, pts in footprint.items() for q in pts]
+    delta = min(values) / 2 if values else Fraction(1)
+
+    # Inverse square roots of (b_l - delta)_+ on the footprint.
     inv_roots: dict[int, Func] = {}
     for l, pts in sorted(footprint.items()):
         vals = {}
@@ -323,7 +319,7 @@ def prop_equivalence_suite(
         residual = (tmat.adjoint() * b.padded(n).to_matrix()) * tmat - a.padded(n).to_matrix()
         res_norm = operator_norm(residual)
         tnorm = operator_norm(tmat)
-        bound = float(eps) + float(cert.delta) * tnorm * tnorm + 1e-6
+        bound = float(eps) + float(cert.delta) * tnorm * tnorm + FLOAT_TOL
         results.append(
             EpsResult(eps, True, True, cert.delta, res_norm, bound)
         )

@@ -340,7 +340,7 @@ def test_criterion_09_tzs_instance_evaluation():
         if ai == 0:
             assert abs(value) <= 1e-9
     assert report.max_commutator == pytest.approx(1.0, abs=1e-9)
-    assert check_tzs_instance(inst, phi).to_json() == report.to_json()
+    assert check_tzs_instance(inst, phi) == report
     _report(
         "criterion 9 (stability instance evaluation)",
         "conditions (i)+(ii) pass, margins reported, report reproducible",

@@ -487,6 +487,19 @@ def test_block_rank_example(z3):
     assert blocks[0].rank() == expected == 1
 
 
+def test_block_rank_with_radical_entries(z2):
+    """Entries with sqrt 2 take the singular-value branch: on Z/2,
+    sqrt 2 (1 + u_1) has the block [[sqrt 2, sqrt 2], [sqrt 2, sqrt 2]]
+    of rank 1, and sqrt 2 + u_1 has [[sqrt 2, 1], [1, sqrt 2]] of rank 2."""
+    rt2 = Func.from_dict(z2, {0: RadScalar(1, 0, 2), 1: RadScalar(1, 0, 2)})
+    rank_one = CrossedElement.from_func(rt2) + CrossedElement.monomial(rt2, 1)
+    rank_two = CrossedElement.from_func(rt2) + CrossedElement.monomial(Func.one(z2), 1)
+    for a, rank in ((rank_one, 1), (rank_two, 2)):
+        (block,) = orbit_block_decomposition(a)
+        assert not block.all_rational
+        assert block.rank() == rank
+
+
 def test_exact_rank_matches_fraction_oracle():
     """Rank on int triples equals the Fraction-pair elimination on random
     Gaussian-rational matrices, singular ones included: products of an

@@ -169,7 +169,8 @@ def test_choi_blocks_decide_like_the_dense_choi_matrix(fixed_point_system):
         for n in (1, 2, 3):
             m = random_matrix(rng, sys, n, POOLS["exact"])
             gram = m.adjoint() * m
-            for phi_m in (gram, gram - MatrixElement.diag(sys, [Func.one(sys)], n)):
+            unit_11 = MatrixElement.diag(sys, [Func.one(sys)] + [Func.zero(sys)] * (n - 1))
+            for phi_m in (gram, gram - unit_11):
                 images = {(i, j): phi_m.entries[i][j] for i in range(n) for j in range(n)}
                 phi = OrderZeroMap(sys, n, images)
                 verdict = verify_cpc(phi)

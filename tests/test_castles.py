@@ -456,8 +456,8 @@ def test_tzs_report_reproducible(z3):
         F=(CrossedElement.unit(z3), CrossedElement.unitary(z3, 1)),
         h=Func.indicator(z3, {0}),
     )
-    r1 = check_tzs_instance(inst, phi).to_json()
-    r2 = check_tzs_instance(inst, phi).to_json()
+    r1 = check_tzs_instance(inst, phi)
+    r2 = check_tzs_instance(inst, phi)
     assert r1 == r2
 
 

@@ -521,9 +521,10 @@ def test_reports_byte_identical_modulo_runtime(capsys, z3_file):
 
 
 def test_digest_identifies_the_inputs(capsys, tmp_path, z3_file):
-    """Two runs whose inputs differ in castle data, epsilon or the
-    contents of an ``@file`` entry print different digests; two paths to
-    the same contents print the same one."""
+    """Two runs whose inputs differ in castle data, epsilon, the
+    ``--max-n`` of a semigroup table or the contents of an ``@file`` entry
+    print different digests; two paths to the same contents print the
+    same one."""
 
     def digest(argv):
         code, out, _ = run_cli(capsys, argv)
@@ -542,6 +543,9 @@ def test_digest_identifies_the_inputs(capsys, tmp_path, z3_file):
     compile_ = ["witness", "compile", "--system", z3_file, "--a", "chi:0", "--b", "chi:1,2"]
     assert digest(compile_ + ["--epsilon", "1/3"]) != digest(compile_ + ["--epsilon", "1/2"])
     assert digest(compile_ + ["--epsilon", "1/2"]) == digest(compile_)
+
+    semigroup = ["compare", "--system", z3_file, "--a", "chi:0", "--b", "chi:1,2", "--semigroup"]
+    assert digest(semigroup + ["--max-n", "1"]) != digest(semigroup + ["--max-n", "2"])
 
     func = tmp_path / "f.json"
     copy = tmp_path / "copy.json"

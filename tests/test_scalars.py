@@ -1,4 +1,5 @@
 import fractions
+import operator
 import sys
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dynalg import ExactnessError, FloatScalar, RadicalAdditionMismatch, RadScalar
+from dynalg.scalars import FLOAT_TOL
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -229,3 +231,57 @@ def test_hot_operations_make_no_fraction():
     hot()  # the operations themselves work
     assert _fraction_constructions(hot) == 0
     assert _fraction_constructions(lambda: a.re) == 1  # the check sees a construction
+
+
+_MIXED_RADS = [
+    RadScalar(0),
+    RadScalar(1),
+    RadScalar(-1, 0, 2),
+    RadScalar(Fraction(1, 3), Fraction(-2, 5), 3),
+    RadScalar(0, Fraction(7, 2), 6),
+    RadScalar(Fraction(-5, 7), 1, 10),
+]
+_MIXED_FLOATS = [
+    FloatScalar(complex(0.0, 0.0)),
+    FloatScalar(complex(-0.0, 0.0)),
+    FloatScalar(complex(0.0, -0.0)),
+    FloatScalar(complex(-0.0, -0.0)),
+    FloatScalar(1.5),
+    FloatScalar(complex(-0.25, 3.75)),
+    FloatScalar(2 ** 0.5),
+    FloatScalar(complex(1e-12, -1e300)),
+] + [FloatScalar(complex(r)) for r in _MIXED_RADS] + [
+    FloatScalar(complex(r) + 5e-10) for r in _MIXED_RADS
+]
+
+
+def _outcome(fn):
+    """``repr`` of the complex value computed, or the name of the
+    ZeroDivisionError raised; a scalar result must be a FloatScalar."""
+    try:
+        out = fn()
+    except ZeroDivisionError as exc:
+        return type(exc).__name__
+    if not isinstance(out, complex):
+        assert type(out) is FloatScalar
+        out = out.value
+    return repr(out)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_mixed_exact_float_arithmetic_is_the_complex_operation(op):
+    """A RadScalar and a FloatScalar combine, in either order, to the
+    FloatScalar of the same complex operation on ``complex(r)`` and
+    ``f.value``, bit for bit (signed zeros included, compared by repr)."""
+    for r in _MIXED_RADS:
+        for f in _MIXED_FLOATS:
+            assert _outcome(lambda: op(r, f)) == _outcome(lambda: op(complex(r), f.value))
+            assert _outcome(lambda: op(f, r)) == _outcome(lambda: op(f.value, complex(r)))
+
+
+def test_mixed_exact_float_equality_is_symmetric():
+    for r in _MIXED_RADS:
+        for f in _MIXED_FLOATS:
+            close = abs(f.value - complex(r)) <= FLOAT_TOL
+            assert (r == f) is (f == r) is close
+            assert (r != f) is (f != r) is (not close)

@@ -18,10 +18,13 @@ from dynalg import (
     cuntz_oracle,
     extract_witness,
     matrix_is_r_normalizer,
+    operator_norm,
     prop_equivalence_suite,
     search_subequivalence,
     single_row_rnormalizer,
 )
+
+from dynalg.scalars import FLOAT_TOL
 
 from _support import is_r_normalizer_by_support, matrix_row_supports, random_free_system
 
@@ -226,6 +229,19 @@ def test_suite_consistent_when_subequivalent(z3):
     assert all(
         r.residual_norm <= r.residual_bound for r in report.eps_results
     )
+
+
+def test_suite_residual_bound_adds_the_float_tolerance(z3):
+    """The approximate-conjugation bound is eps + delta ||t||^2 plus the
+    one float tolerance FLOAT_TOL, with t the compiled certificate."""
+    a = chi_tuple(z3, {0})
+    b = chi_tuple(z3, {1, 2})
+    row = prop_equivalence_suite(a, b).eps_results[0]
+    w = search_subequivalence(z3, a.cutdown(row.eps).supports(), b.supports())
+    cert = compile_witness(a, b, row.eps, w)
+    tnorm = operator_norm(cert.t)
+    assert row.delta == cert.delta == Fraction(1, 2)
+    assert row.residual_bound == float(row.eps) + float(cert.delta) * tnorm * tnorm + FLOAT_TOL
 
 
 def test_suite_identity_case(z3):
