@@ -21,9 +21,13 @@ representation in floating point with absolute tolerance ``1e-9``:
 on the basis indexed by pairs (h in G, x in X).  pi never moves a point,
 so it is the direct sum of one block per point.  One private builder,
 ``_block_entries``, evaluates this rule for an n x n matrix of elements;
-the float matrices, the per-orbit positivity test of
-``castles.verify_cpc`` and ``comparison.cuntz_oracle``, and the exact
-orbit blocks all read their entries from it.
+the float matrices, the exact orbit blocks and the float blocks at each
+orbit's least point (``_orbit_point_blocks``) all read their entries
+from it.  The per-orbit float blocks are built once per call and feed
+the positivity test that ``castles.verify_cpc`` and
+``comparison.cuntz_oracle`` share; ``verify_cpc`` also reads the norm of
+phi(1) off the same Choi blocks.  In the library only ``operator_norm``,
+the norm that reports print, builds a dense matrix.
 
 Storage is sparse.  A :class:`Func` keeps a dict from point to value that
 omits exactly the points whose value is an exact zero, so sums, products,
@@ -639,16 +643,27 @@ def _point_block(sys: DynSystem, rows, x: int) -> np.ndarray:
     return out
 
 
-def _positivity_failure(sys: DynSystem, rows) -> Optional[str]:
-    """Why the representation of an n x n matrix of crossed elements is not
-    positive, or None when it is.
+def _orbit_point_blocks(sys: DynSystem, rows) -> np.ndarray:
+    """The float blocks at each orbit's least point, stacked along axis 0.
 
-    The blocks over one orbit are permutations of each other (see
-    ``point_block``), so the block at each orbit's least point decides.
+    The blocks over one orbit are unitarily equivalent (see
+    ``point_block``), so these decide every unitarily invariant question
+    about the representation: positivity and norms.
+    """
+    size = len(rows) * sys.group.order
+    out = np.zeros((len(sys.orbit_partition), size, size), dtype=complex)
+    for k, orbit in enumerate(sys.orbit_partition):
+        out[k] = _point_block(sys, rows, orbit[0])
+    return out
+
+
+def _positivity_failure(blocks: np.ndarray) -> Optional[str]:
+    """Why the representation with these orbit blocks (from
+    ``_orbit_point_blocks``) is not positive, or None when it is.
+
     Every block is first tested hermitian within the absolute FLOAT_TOL
     (``rtol=0``); then no eigenvalue may lie below -FLOAT_TOL.
     """
-    blocks = [_point_block(sys, rows, orbit[0]) for orbit in sys.orbit_partition]
     if not all(np.allclose(b, b.conj().T, rtol=0, atol=FLOAT_TOL) for b in blocks):
         return "element is not self-adjoint within tolerance"
     if any(b.size and np.linalg.eigvalsh(b).min() < -FLOAT_TOL for b in blocks):
@@ -689,9 +704,13 @@ def regular_rep(a: CrossedElement) -> np.ndarray:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value of the representation.
+    """Largest singular value of the representation, by a dense SVD.
 
-    An exact zero element is 0.0 without a float computation.
+    This is the reference norm that reports print (``unit_image_norm``,
+    the tzs margins, the witness residuals), kept dense so that printed
+    values stay byte-identical.  No verifier decides through it:
+    ``castles.verify_cpc`` bounds ||phi(1)|| on its per-orbit Choi
+    blocks.  An exact zero element is 0.0 without a float computation.
     """
     if a.is_zero:
         return 0.0

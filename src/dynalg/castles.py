@@ -44,7 +44,9 @@ Choi matrix in the faithful representation (absolute tolerance 1e-9).
 The representation never moves the point of the space, so the Choi
 matrix is a direct sum of one n|G| block per point, and the blocks of
 points in one orbit are unitarily equivalent; one block per orbit, at
-its least point, therefore decides positivity.
+its least point, therefore decides positivity.  The diagonal sub-blocks
+of the same Choi blocks sum to the blocks of phi(1), which decide
+contractivity.
 """
 
 from __future__ import annotations
@@ -54,7 +56,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .algebra import CrossedElement, DiagTuple, Func, _positivity_failure, operator_norm
+import numpy as np
+
+from .algebra import (
+    CrossedElement,
+    DiagTuple,
+    Func,
+    _orbit_point_blocks,
+    _positivity_failure,
+    operator_norm,
+)
 from .comparison import Witness, diag_subequivalent, search_subequivalence
 from .dynsys import DynSystem
 from .errors import (
@@ -464,28 +475,37 @@ def verify_order_zero(phi: OrderZeroMap) -> bool:
 
 
 def verify_cpc(phi: OrderZeroMap) -> bool:
-    """Complete positivity via the Choi matrix in the representation,
-    contractivity via the operator norm of the unit image.
+    """Complete positivity and contractivity from one Choi block per orbit.
 
     Adjoint symmetry phi(e_ij)* = phi(e_ji) is checked exactly first; it
     is necessary for positivity and keeps the Choi matrix hermitian up to
     float error only.  The representation never moves the point x, so the
     Choi matrix [pi(phi(e_ij))]_ij is the direct sum over x of the point
-    blocks of the matrix [phi(e_ij)], of size n|G|; for
-    x' = s.x the unitary V delta_h = delta_{h s}, applied in each of the n
-    slots, makes the blocks at x and x' equivalent.  The hermitian and
-    eigenvalue tests therefore run on one n|G| block per orbit, at the
-    orbit's least point, by the test that ``cuntz_oracle`` also runs.  The
-    float tests use the absolute ``scalars.FLOAT_TOL`` (1e-9); the norm
-    bound is 1 + FLOAT_TOL.
+    blocks of the matrix [phi(e_ij)], of size n|G|; for x' = s.x the
+    unitary V delta_h = delta_{h s}, applied in each of the n slots, makes
+    the blocks at x and x' equivalent.  The hermitian and eigenvalue tests
+    therefore run on one n|G| block per orbit, at the orbit's least point,
+    by the test that ``cuntz_oracle`` also runs.
+
+    The same blocks decide contractivity.  Entry (i, j) of the block at x
+    fills rows i|G| + gh and columns j|G| + h, so its i-th diagonal
+    |G|-square sub-block is the point block of phi(e_ii) at x.  Point
+    blocks are linear in the element, so the sum of the n diagonal
+    sub-blocks is the point block of phi(1) at x, and ||phi(1)|| is the
+    largest 2-norm of these sums over the orbits.  No dense representation
+    is built.  The float tests use the absolute ``scalars.FLOAT_TOL``
+    (1e-9); the norm bound is 1 + FLOAT_TOL.
     """
     if not _adjoint_symmetric(phi):
         return False
     n = phi.n
     images = [[phi.images[(i, j)] for j in range(n)] for i in range(n)]
-    if _positivity_failure(phi.system, images) is not None:
+    blocks = _orbit_point_blocks(phi.system, images)
+    if _positivity_failure(blocks) is not None:
         return False
-    return operator_norm(phi.unit_image()) <= 1 + FLOAT_TOL
+    ng = phi.system.group.order
+    units = blocks.reshape(len(blocks), n, ng, n, ng).diagonal(axis1=1, axis2=3).sum(axis=-1)
+    return bool(np.all(np.linalg.norm(units, 2, axis=(1, 2)) <= 1 + FLOAT_TOL))
 
 
 def _adjoint_symmetric(phi: OrderZeroMap) -> bool:

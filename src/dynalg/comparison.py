@@ -45,6 +45,7 @@ from .algebra import (
     CrossedElement,
     DiagTuple,
     MatrixElement,
+    _orbit_point_blocks,
     _positivity_failure,
     matrix_orbit_blocks,
 )
@@ -516,7 +517,7 @@ def _as_matrix(a: Union[DiagTuple, CrossedElement]) -> MatrixElement:
 def _check_positive(a: Union[DiagTuple, CrossedElement]) -> None:
     if isinstance(a, DiagTuple):
         return  # positivity is a construction invariant of DiagTuple
-    failure = _positivity_failure(a.system, ((a,),))
+    failure = _positivity_failure(_orbit_point_blocks(a.system, ((a,),)))
     if failure is not None:
         raise NotPositive(failure)
 

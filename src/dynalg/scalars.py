@@ -490,7 +490,17 @@ class FloatScalar:
         return 1 if self.value.real > 0 else -1
 
     def real_cmp(self, other) -> int:
+        """Three-way comparison of two real values within ``FLOAT_TOL``.
+
+        A value whose imaginary part exceeds FLOAT_TOL raises
+        ``ExactnessError``; a value that is not a scalar or a number raises
+        ``TypeError``, as in ``RadScalar.real_cmp``.
+        """
         v = self._val(other)
+        if v is None:
+            raise TypeError("cannot compare %r with %r" % (self, other))
+        if abs(self.value.imag) > FLOAT_TOL or abs(v.imag) > FLOAT_TOL:
+            raise ExactnessError("comparison of non-real values %r and %r" % (self, other))
         d = self.value.real - v.real
         if abs(d) <= FLOAT_TOL:
             return 0

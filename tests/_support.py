@@ -29,7 +29,6 @@ from dynalg import (
     coefficient_supports_disjoint,
     extreme_invariant_measures,
     is_r_normalizer,
-    operator_norm,
     product_with_cyclic,
     validate_system,
 )
@@ -514,7 +513,8 @@ def dense_regular_rep(a: CrossedElement) -> np.ndarray:
 
 def dense_verify_cpc(phi, tol: float = 1e-9) -> bool:
     """Complete positivity from the full (n |G| |X|)-square Choi matrix,
-    contractivity from the norm of the unit image."""
+    contractivity from the largest singular value of the unit image's
+    (|G| |X|)-square representation, both built by ``dense_regular_rep``."""
     n = phi.n
     for i in range(n):
         for j in range(i, n):
@@ -526,12 +526,12 @@ def dense_verify_cpc(phi, tol: float = 1e-9) -> bool:
         for j in range(n):
             block = dense_regular_rep(phi.images[(i, j)])
             choi[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = block
-    if not np.allclose(choi, choi.conj().T, atol=tol):
+    if not np.allclose(choi, choi.conj().T, rtol=0, atol=tol):
         return False
     eigs = np.linalg.eigvalsh(choi)
     if eigs.size and eigs.min() < -tol:
         return False
-    return operator_norm(phi.unit_image()) <= 1 + tol
+    return np.linalg.norm(dense_regular_rep(phi.unit_image()), 2) <= 1 + tol
 
 
 # -- representation builders, one loop per concept -----------------------------

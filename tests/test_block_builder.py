@@ -24,7 +24,7 @@ from dynalg import (
     point_block,
     regular_rep,
 )
-from dynalg.algebra import _positivity_failure, matrix_orbit_blocks
+from dynalg.algebra import _orbit_point_blocks, _positivity_failure, matrix_orbit_blocks
 from dynalg.castles import OrderZeroMap, verify_cpc
 
 from _support import (
@@ -203,10 +203,10 @@ def test_orbit_positivity_decides_like_the_dense_representation(fixed_point_syst
             for c in (0, Fraction(1, 2), 1, 3):
                 shift = CrossedElement.from_func(Func(sys, [RadScalar(c)] * sys.n_points))
                 e = gram - shift
-                failure = _positivity_failure(sys, ((e,),))
+                failure = _positivity_failure(_orbit_point_blocks(sys, ((e,),)))
                 assert failure == dense_positivity_failure(e)
                 seen.add(failure)
-            failure = _positivity_failure(sys, ((a,),))
+            failure = _positivity_failure(_orbit_point_blocks(sys, ((a,),)))
             assert failure == dense_positivity_failure(a)
             raw.add(failure)
     assert seen == {None, "element has an eigenvalue below -1e-09"}

@@ -1,6 +1,9 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,8 +11,10 @@ from dynalg import (
     Castle,
     CastleOzmData,
     CrossedElement,
+    DynSystem,
     EmptyShape,
     ExactnessError,
+    FiniteGroup,
     FloatScalar,
     Func,
     InvalidCastleData,
@@ -26,6 +31,7 @@ from dynalg import (
     decompose_ozm,
     identity_embedding,
     orbit_castle,
+    product_with_cyclic,
     search_tzs_map,
     shape_invariance,
     validate_castle,
@@ -35,16 +41,24 @@ from dynalg import (
 )
 
 from _support import (
+    dense_regular_rep,
     dense_verify_cpc,
     quotient_system,
     random_element,
     random_free_system,
     standard_free_systems,
 )
+import dynalg.algebra
 import dynalg.castles as castles
+from dynalg.cli import main
+from dynalg.scalars import FLOAT_TOL
 
 PHASE_POOL = [RadScalar(1), RadScalar(-1), RadScalar(0, 1), RadScalar(0, -1)]
 WEIGHT_POOL = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]
+
+DEMO_DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
+DEMO_Z2 = str(DEMO_DATA_DIR / "z2.json")
+DEMO_DATA = str(DEMO_DATA_DIR / "data.json")
 
 
 def random_castle_data(rng, sys, n, max_towers=3, phase_pool=PHASE_POOL):
@@ -316,6 +330,98 @@ def test_verify_cpc_matches_dense_choi(fixed_point_system):
             assert verify_cpc(psi) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+CONTRACTIVITY_SCALES = (
+    Fraction(1, 2),
+    Fraction(1),
+    1 + Fraction(FLOAT_TOL) / 2,
+    1 + 2 * Fraction(FLOAT_TOL),
+    Fraction(3, 2),
+)
+
+
+def _scaled_to_norm(phi, c, mode):
+    """phi with every image scaled so that ||phi(1)|| is c, up to the
+    rounding of the dense norm; float mode scales by a FloatScalar, so
+    every coefficient becomes a float."""
+    norm = np.linalg.norm(dense_regular_rep(phi.unit_image()), 2)
+    scale = c / Fraction(norm)
+    if mode == "float":
+        scale = FloatScalar(float(scale))
+    return OrderZeroMap(phi.system, phi.n, {k: v.scaled(scale) for k, v in phi.images.items()})
+
+
+def test_verify_cpc_contractivity_matches_dense_norm(fixed_point_system):
+    """Completely positive maps scaled to ||phi(1)|| = c: castle maps on
+    free systems, Gram maps b_i* b_j on free and non-free ones, exact and
+    float.  The Choi test passes on each, so the verdict is c <= 1 +
+    FLOAT_TOL alone, and the per-orbit blocks give the dense verdict."""
+    rng = random.Random(53)
+    maps = []
+    while len(maps) < 8:
+        sys = random_free_system(rng, max_points=8)
+        data = random_castle_data(rng, sys, rng.randint(1, min(3, sys.group.order)))
+        if data is not None:
+            maps.append(build_castle_ozm(data))
+    free = random_free_system(rng, max_points=6)
+    for sys in (fixed_point_system, quotient_system(), free) * 3:
+        n = rng.randint(1, 3)
+        bs = [random_element(rng, sys, max_terms=2) for _ in range(n)]
+        images = {(i, j): bs[i].adjoint() * bs[j] for i in range(n) for j in range(n)}
+        phi = OrderZeroMap(sys, n, images)
+        if not phi.unit_image().is_zero:
+            maps.append(phi)
+    verdicts = set()
+    for phi in maps:
+        for c in CONTRACTIVITY_SCALES:
+            for mode in ("exact", "float"):
+                psi = _scaled_to_norm(phi, c, mode)
+                expected = c <= 1 + Fraction(FLOAT_TOL)
+                assert dense_verify_cpc(psi) == expected
+                assert verify_cpc(psi) == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+@pytest.fixture
+def no_dense_representation(monkeypatch):
+    """Make every route to a dense (|G||X|)-square matrix raise."""
+
+    def forbidden(*args):
+        raise AssertionError("dense representation built")
+
+    monkeypatch.setattr(dynalg.algebra, "_rep", forbidden)
+    monkeypatch.setattr(dynalg.algebra, "regular_rep", forbidden)
+    monkeypatch.setattr(castles, "operator_norm", forbidden)
+
+
+def test_verify_cpc_builds_no_dense_representation(no_dense_representation):
+    """A castle map over product_with_cyclic(z4 + z4, 6), |G||X| = 1152,
+    with ||phi(1)|| = 1, and the same map times 3/2: verify_cpc decides
+    both from its n|G| Choi blocks, one per orbit."""
+    z4 = DynSystem.translation(FiniteGroup.cyclic(4))
+    sys = product_with_cyclic(DynSystem.disjoint_union(z4, z4), 6)
+    assert sys.group.order * sys.n_points == 1152
+    castle = Castle(sys, tuple((frozenset({orbit[0]}), (0, 1, 5)) for orbit in sys.orbit_partition))
+    weights = [Func.from_dict(sys, {orbit[0]: Fraction(1, k + 1)})
+               for k, orbit in enumerate(sys.orbit_partition)]
+    phi = build_castle_ozm(CastleOzmData.with_trivial_phases(castle, weights, 3))
+    assert verify_cpc(phi)
+    scaled = {k: v.scaled(Fraction(3, 2)) for k, v in phi.images.items()}
+    assert not verify_cpc(OrderZeroMap(sys, 3, scaled))
+
+
+def test_float_decompose_runs_the_verifiers_without_dense_representation(
+    no_dense_representation, capsys
+):
+    """Float data is verified after assembly, fails extraction and then
+    runs every verifier before its ExactnessError; none builds a dense
+    matrix."""
+    code = main(["castle", "decompose", "--float", "--system", DEMO_Z2, "--data", DEMO_DATA])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "ExactnessError"
 
 
 # -- decomposition -------------------------------------------------------------------

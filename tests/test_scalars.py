@@ -177,8 +177,34 @@ def test_real_cmp_with_float_scalar_delegates():
 
 @pytest.mark.parametrize("other", [0.5, 1j, "1", None, [1]])
 def test_real_cmp_with_other_types_raises_type_error(other):
+    """RadScalar compares only scalars, ints and Fractions; FloatScalar also
+    takes Python floats and complex numbers, and nothing else."""
     with pytest.raises(TypeError, match="cannot compare"):
         RadScalar(1).real_cmp(other)
+    if not isinstance(other, (float, complex)):
+        with pytest.raises(TypeError, match="cannot compare"):
+            FloatScalar(1.0).real_cmp(other)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (FloatScalar(1.0), 1j),
+        (FloatScalar(1.0), FloatScalar(1 + 2e-9j)),
+        (FloatScalar(1j), FloatScalar(1.0)),
+        (FloatScalar(1.0), RadScalar(0, 1)),
+        (FloatScalar(1j), RadScalar(1)),
+    ],
+    ids=["complex", "float-just-off-axis", "imaginary-self", "exact-i", "imaginary-self-exact"],
+)
+def test_real_cmp_of_a_non_real_float_raises_in_both_orders(a, b):
+    """A value more than FLOAT_TOL off the real axis on either side is not
+    compared, whichever side the FloatScalar is on."""
+    with pytest.raises(ExactnessError):
+        a.real_cmp(b)
+    if isinstance(b, (RadScalar, FloatScalar)):
+        with pytest.raises(ExactnessError):
+            b.real_cmp(a)
 
 
 def test_int_form_invariant():
