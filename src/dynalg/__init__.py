@@ -31,7 +31,6 @@ from .errors import (
     RadicalAdditionMismatch,
     ResourceBound,
     StructureError,
-    SupportOverlap,
     SystemMismatch,
 )
 from .scalars import FloatScalar, RadScalar, as_scalar
@@ -56,13 +55,11 @@ from .algebra import (
     operator_norm,
     orbit_block_decomposition,
     point_block,
-    pos_cutdown,
     regular_rep,
 )
 from .normalizers import (
     OrthogonalSum,
     check_normalizer_preserving,
-    check_square_in_subalgebra,
     coefficient_supports_disjoint,
     is_normalizer,
     is_r_normalizer,
@@ -78,7 +75,6 @@ from .comparison import (
     check_witness,
     cuntz_oracle,
     d_tau,
-    d_tau_tuple,
     diag_subequivalent,
     dynamical_comparison_check,
     search_subequivalence,
@@ -90,7 +86,6 @@ from .witness import (
     compile_witness,
     extract_witness,
     prop_equivalence_suite,
-    single_row_rnormalizer,
 )
 from .castles import (
     AfCertificate,

@@ -60,7 +60,6 @@ __all__ = [
     "DiagTuple",
     "OrbitBlock",
     "open_support",
-    "pos_cutdown",
     "cond_expectation",
     "point_block",
     "regular_rep",
@@ -289,17 +288,6 @@ def open_support(f: Func) -> frozenset:
     return f.support
 
 
-def pos_cutdown(f, eps):
-    """(f - eps)_+ pointwise; extended entrywise to diagonal tuples and to
-    diagonal matrices over C(X)."""
-    if isinstance(f, MatrixElement):
-        if not f.is_diagonal_over_cx():
-            raise NotPositive("matrix cutdown needs a diagonal matrix over C(X)")
-        funcs = [f.entries[i][i].cond_expectation().cutdown(eps) for i in range(f.n)]
-        return MatrixElement.diag(f.system, funcs)
-    return f.cutdown(eps)
-
-
 class CrossedElement:
     """A crossed-product element sum_g a_g u_g with exact coefficients."""
 
@@ -525,18 +513,6 @@ class MatrixElement:
     @property
     def is_zero(self) -> bool:
         return all(a.is_zero for row in self.entries for a in row)
-
-    def is_diagonal_over_cx(self) -> bool:
-        """Membership in the diagonal subalgebra D_n (x) C(X)."""
-        for i in range(self.n):
-            for j in range(self.n):
-                a = self.entries[i][j]
-                if i == j:
-                    if not a.in_diagonal:
-                        return False
-                elif not a.is_zero:
-                    return False
-        return True
 
     def __eq__(self, other):
         if not isinstance(other, MatrixElement):

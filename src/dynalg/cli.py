@@ -10,7 +10,11 @@ Every request takes one path, through ``main``:
 
 1. parse the arguments;
 2. check the flags that need no file: ``--budget``, then ``--max-n`` for
-   ``semigroup`` and ``compare --semigroup``;
+   ``semigroup`` and ``compare --semigroup``, then the castle flags a
+   verb refuses (``validate --float``, and ``tzs`` with both ``--data``
+   and ``--identity``).  Only the commands that parse scalars take
+   ``--exact``/``--float``, and only those that can build a type
+   semigroup take ``--budget``;
 3. start the timer;
 4. load, parse and validate the system file;
 5. run the command's handler, which reads its other files and computes;
@@ -413,11 +417,17 @@ def _digest(parts) -> str:
 
 def _check_flags(args) -> None:
     """The checks that read no file: budget, then ``--max-n`` where a
-    semigroup table is built."""
-    if args.budget < 0:
+    semigroup table is built, then the castle flags that a verb does not
+    read."""
+    if getattr(args, "budget", 0) < 0:
         raise ParseError("--budget must be nonnegative, got %d" % args.budget)
     if (args.command == "semigroup" or getattr(args, "semigroup", False)) and args.max_n < 0:
         raise ParseError("--max-n must be nonnegative, got %d" % args.max_n)
+    if args.command == "castle":
+        if args.verb == "validate" and args.float_mode:
+            raise ParseError("castle validate reads no scalars; --float does not apply")
+        if args.verb == "tzs" and args.data and args.identity:
+            raise ParseError("castle tzs takes --data or --identity, not both")
 
 
 # -- command handlers ------------------------------------------------------
@@ -611,21 +621,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, scalars=False, budget=False):
         p.add_argument("--system", required=True, help="system description file")
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument(
-            "--exact", dest="float_mode", action="store_false", default=False,
-            help="exact scalars (default)",
-        )
-        mode.add_argument(
-            "--float", dest="float_mode", action="store_true",
-            help="parse scalars as floats (exploratory mode)",
-        )
-        p.add_argument(
-            "--budget", type=int, default=500_000,
-            help="cap on the type-semigroup enumeration (semigroup, compare --semigroup)",
-        )
+        if scalars:
+            mode = p.add_mutually_exclusive_group()
+            mode.add_argument(
+                "--exact", dest="float_mode", action="store_false",
+                help="exact scalars (default)",
+            )
+            mode.add_argument(
+                "--float", dest="float_mode", action="store_true",
+                help="parse scalars as floats (exploratory mode)",
+            )
+        p.set_defaults(float_mode=False)
+        if budget:
+            p.add_argument(
+                "--budget", type=int, default=500_000,
+                help="cap on the type-semigroup enumeration",
+            )
         p.add_argument("--json", dest="json_out", default=None, help="also write the report here")
 
     p = sub.add_parser("system-check", help="validate a system file")
@@ -633,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_system_check)
 
     p = sub.add_parser("compare", help="decide subequivalence of diagonal tuples")
-    common(p)
+    common(p, scalars=True, budget=True)
     p.add_argument("--a", action="append", required=True, help="tuple entry (repeatable)")
     p.add_argument("--b", action="append", required=True, help="tuple entry (repeatable)")
     p.add_argument("--witness", action="store_true", help="include the witness")
@@ -644,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="compile, extract, or round-trip certificates")
     p.add_argument("verb", choices=["compile", "extract", "roundtrip"])
-    common(p)
+    common(p, scalars=True)
     p.add_argument("--a", action="append", required=True)
     p.add_argument("--b", action="append", required=True)
     p.add_argument("--epsilon", default="1/2")
@@ -654,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("castle", help="castle and order-zero-map operations")
     p.add_argument("verb", choices=["validate", "build-ozm", "decompose", "tzs"])
-    common(p)
+    common(p, scalars=True)
     p.add_argument("--castle", default=None)
     p.add_argument("--data", default=None, help="castle map data file")
     p.add_argument("--instance", default=None, help="stability instance file")
@@ -662,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_castle)
 
     p = sub.add_parser("semigroup", help="compute the type semigroup table")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--max-n", type=int, default=2)
     p.set_defaults(handler=cmd_semigroup)
 

@@ -67,7 +67,6 @@ __all__ = [
     "search_subequivalence",
     "diag_subequivalent",
     "d_tau",
-    "d_tau_tuple",
     "ComparisonResult",
     "dynamical_comparison_check",
     "TypeSemigroup",
@@ -223,10 +222,6 @@ def d_tau(f, mu: InvariantMeasure) -> Fraction:
     if not f.is_positive:
         raise NotPositive("d_tau needs a positive function")
     return mu.measure(f.support)
-
-
-def d_tau_tuple(a: DiagTuple, mu: InvariantMeasure) -> Fraction:
-    return sum((d_tau(f, mu) for f in a.entries), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,6 @@ class PreconditionFailed(DynalgError):
     """A stated precondition fails; the message names the failing check."""
 
 
-class SupportOverlap(DynalgError):
-    """Translated supports overlap where disjointness is required."""
-
-
 class EmptyShape(DynalgError):
     """A shape-invariance query on an empty set."""
 

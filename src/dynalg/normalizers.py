@@ -37,7 +37,6 @@ __all__ = [
     "matrix_is_r_normalizer",
     "orthogonal_sum",
     "OrthogonalSum",
-    "check_square_in_subalgebra",
     "check_normalizer_preserving",
 ]
 
@@ -195,19 +194,6 @@ def orthogonal_sum(
     if require_s and not is_s_normalizer(total):
         raise InvariantViolation("certified s-normalizer failed the predicate")
     return result
-
-
-def check_square_in_subalgebra(a: CrossedElement) -> bool:
-    """Whether a*a and aa* both lie in C(X).
-
-    For normalizers this must hold (the pair is unital, hence
-    nondegenerate), so a failure there is an internal error.
-    """
-    astar = a.adjoint()
-    member = (astar * a).in_diagonal and (a * astar).in_diagonal
-    if not member and is_normalizer(a):
-        raise InvariantViolation("normalizer with a*a or aa* outside C(X)")
-    return member
 
 
 def check_normalizer_preserving(images, n: int) -> bool:

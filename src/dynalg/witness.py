@@ -40,20 +40,14 @@ from .errors import (
     NotPositive,
     NotRational,
     PreconditionFailed,
-    SupportOverlap,
 )
-from .normalizers import (
-    coefficient_supports_disjoint,
-    is_r_normalizer,
-    matrix_is_r_normalizer,
-)
+from .normalizers import matrix_is_r_normalizer
 from .scalars import FLOAT_TOL, RadScalar
 
 __all__ = [
     "CompiledWitness",
     "compile_witness",
     "extract_witness",
-    "single_row_rnormalizer",
     "prop_equivalence_suite",
     "EquivalenceSuiteReport",
 ]
@@ -211,46 +205,6 @@ def extract_witness(
     if not check_witness(sys, acut.supports(), V, w):
         raise InvariantViolation("extracted witness invalid")
     return w
-
-
-def single_row_rnormalizer(
-    f: Func, weights: Sequence[Func], moves: Sequence[int]
-) -> CrossedElement:
-    """Assemble v = sum_i ((f h_i)^(1/2) . alpha_{s_i^{-1}}) u_{s_i}.
-
-    Requires the translated supports of the square roots to be pairwise
-    disjoint (SupportOverlap names the first failing pair); the result
-    then passes the one-sided support criterion by construction.
-    """
-    if len(weights) != len(moves):
-        raise ValueError("need one group element per weight")
-    sys = f.system
-    if not f.is_positive:
-        raise NotPositive("f must be positive")
-    coeffs = []
-    for h in weights:
-        if not h.is_positive:
-            raise NotPositive("weights must be positive")
-        coeffs.append((f * h).sqrt())
-    translated = [c.compose_action(sys.group.inv(s)) for c, s in zip(coeffs, moves)]
-    seen: set = set()
-    for idx, c in enumerate(translated):
-        if seen & c.support:
-            prev = next(
-                i for i, d in enumerate(translated[:idx]) if d.support & c.support
-            )
-            raise SupportOverlap(
-                "translated supports of terms %d and %d overlap" % (prev, idx)
-            )
-        seen |= c.support
-    v = CrossedElement.zero(sys)
-    for c, s in zip(translated, moves):
-        v = v + CrossedElement.monomial(c, s)
-    if not coefficient_supports_disjoint(v):
-        raise InvariantViolation("assembled coefficient supports overlap")
-    if sys.is_free and not is_r_normalizer(v):
-        raise InvariantViolation("assembled element is not an r-normalizer")
-    return v
 
 
 @dataclass(frozen=True)

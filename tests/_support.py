@@ -433,6 +433,13 @@ def indicator_matrix_entrywise(m: MatrixElement) -> bool:
     return True
 
 
+def check_square_in_subalgebra(a: CrossedElement) -> bool:
+    """Whether a*a and aa* both lie in C(X), by crossed products; every
+    normalizer passes, since the pair is unital."""
+    astar = a.adjoint()
+    return (astar * a).in_diagonal and (a * astar).in_diagonal
+
+
 def is_r_normalizer_by_support(a: CrossedElement) -> bool:
     """Support characterization of r-normalizers; valid for free actions only."""
     if not a.system.is_free:

@@ -21,7 +21,6 @@ from dynalg import (
     operator_norm,
     orbit_block_decomposition,
     point_block,
-    pos_cutdown,
     regular_rep,
 )
 
@@ -342,12 +341,12 @@ def test_cutdown_examples(z3):
 def test_cutdown_requires_positive(z3):
     f = Func.from_dict(z3, {0: RadScalar(-1)})
     with pytest.raises(NotPositive):
-        pos_cutdown(f, Fraction(1, 2))
+        f.cutdown(Fraction(1, 2))
 
 
 def test_cutdown_on_diag_tuple(z3):
     a = DiagTuple.indicators(z3, [{0}, {1, 2}])
-    cut = pos_cutdown(a, Fraction(1, 2))
+    cut = a.cutdown(Fraction(1, 2))
     assert all(f.values[x] == RadScalar(Fraction(1, 2)) for f in cut.entries for x in f.support)
 
 
@@ -611,22 +610,6 @@ def test_rep_rank_by_enumeration(z3):
         if not f.values[z3.act[h][x]].is_zero
     )
     assert int(np.linalg.matrix_rank(mat, tol=1e-9)) == expected == 3
-
-
-def test_pos_cutdown_on_diagonal_matrix(z3):
-    m = MatrixElement.diag(z3, (chi(z3, {0, 1}), chi(z3, {2})))
-    cut = pos_cutdown(m, Fraction(1, 2))
-    assert cut.is_diagonal_over_cx()
-    assert cut.entries[0][0].cond_expectation() == chi(z3, {0, 1}).cutdown(Fraction(1, 2))
-    off_diag = MatrixElement(
-        z3,
-        (
-            (CrossedElement.zero(z3), CrossedElement.unit(z3)),
-            (CrossedElement.zero(z3), CrossedElement.zero(z3)),
-        ),
-    )
-    with pytest.raises(NotPositive):
-        pos_cutdown(off_diag, Fraction(1, 2))
 
 
 def test_cutdown_support_containment():

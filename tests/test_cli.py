@@ -668,16 +668,33 @@ def test_missing_required_file_args(capsys, z2_file):
 
 
 def test_bad_tolerance_and_budget_rejected(capsys, z2_file):
-    code, out, err = run_cli(capsys, ["system-check", "--system", z2_file, "--budget", "-1"])
+    code, out, err = run_cli(capsys, ["semigroup", "--system", z2_file, "--budget", "-1"])
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ParseError"
-    code, out, _ = run_cli(capsys, ["system-check", "--system", z2_file, "--budget", "0"])
+    # a zero budget passes the flag check and is the one applied
+    code, out, err = run_cli(capsys, ["semigroup", "--system", z2_file, "--budget", "0"])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ResourceBound",
+        "message": "semigroup enumeration needs 10 candidates, budget is 0",
+    }
+    code, out, _ = run_cli(
+        capsys, ["compare", "--system", z2_file, "--a", "chi:0", "--b", "chi:1", "--budget", "0"]
+    )
     assert code == 0 and json.loads(out)["params"]["tolerance"] == 1e-9
-    # the tolerance is fixed: --tolerance is no longer an option
-    with pytest.raises(SystemExit) as exc:
-        main(["system-check", "--system", z2_file, "--tolerance", "0"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+    # the tolerance is fixed: --tolerance is no longer an option; --float
+    # and --budget only where scalars are parsed or a semigroup is built
+    for argv, flags in (
+        (["system-check", "--tolerance", "0"], "--tolerance 0"),
+        (["semigroup", "--float"], "--float"),
+        (["system-check", "--float", "--budget", "3"], "--float --budget 3"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--system", z2_file])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: %s" % flags in captured.err
 
 
 def _single_error(err):
@@ -724,9 +741,9 @@ def _expected_error(error, message):
 
 def test_error_precedence(capsys, tmp_path, z2_file, z3_file):
     # flag checks come before any file is read: budget first, then
-    # --max-n (semigroup always, compare only with --semigroup); a missing
-    # file flag is reported only after the system file has loaded and
-    # validated
+    # --max-n (semigroup always, compare only with --semigroup), then the
+    # castle flags a verb refuses; a missing file flag is reported only
+    # after the system file has loaded and validated
     missing = str(tmp_path / "missing.json")
     no_file = "cannot read %s: [Errno 2] No such file or directory: %r" % (missing, missing)
     inst = str(tmp_path / "inst.json")
@@ -739,6 +756,11 @@ def test_error_precedence(capsys, tmp_path, z2_file, z3_file):
         (["compare", "--system", missing, "--a", "chi:0", "--b", "chi:1",
           "--semigroup", "--max-n", "-1"],
          ("ParseError", "--max-n must be nonnegative, got -1")),
+        (["castle", "validate", "--float", "--system", missing],
+         ("ParseError", "castle validate reads no scalars; --float does not apply")),
+        (["castle", "tzs", "--system", missing, "--instance", missing, "--identity",
+          "--data", missing],
+         ("ParseError", "castle tzs takes --data or --identity, not both")),
         (["castle", "validate", "--system", missing], ("ParseError", no_file)),
         (["witness", "extract", "--system", missing, "--a", "chi:0", "--b", "chi:1"],
          ("ParseError", no_file)),

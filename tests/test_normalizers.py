@@ -19,7 +19,6 @@ from dynalg import (
     RadScalar,
     as_scalar,
     check_normalizer_preserving,
-    check_square_in_subalgebra,
     coefficient_supports_disjoint,
     identity_embedding,
     is_normalizer,
@@ -31,6 +30,7 @@ from dynalg import (
 
 from _support import (
     COEFF_POOL,
+    check_square_in_subalgebra,
     indicator_matrix_entrywise,
     indicator_r_normalizer,
     is_r_normalizer_by_support,

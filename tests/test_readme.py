@@ -2,7 +2,8 @@
 
 The block's lines start with ``dynalg``; each runs as
 ``python -m dynalg.cli`` from the root of the checkout, so a renamed
-flag, verb or demo data file shows here.
+flag, verb or demo data file shows here.  ``test_console_script.py``
+runs them again through the installed ``dynalg`` script.
 """
 
 import os

@@ -11,7 +11,6 @@ from dynalg import (
     NotPositive,
     PreconditionFailed,
     RadScalar,
-    SupportOverlap,
     Witness,
     check_witness,
     compile_witness,
@@ -21,12 +20,11 @@ from dynalg import (
     operator_norm,
     prop_equivalence_suite,
     search_subequivalence,
-    single_row_rnormalizer,
 )
 
 from dynalg.scalars import FLOAT_TOL
 
-from _support import is_r_normalizer_by_support, matrix_row_supports, random_free_system
+from _support import matrix_row_supports, random_free_system
 
 
 def chi_tuple(sys, *subsets):
@@ -171,50 +169,6 @@ def test_compile_exactness_randomized():
         w2 = extract_witness(a, b, eps, cert.delta, cert.t)
         assert check_witness(sys, acut.supports(), b.supports(), w2)
         assert cuntz_oracle(a.cutdown(eps), b)
-
-
-# -- single-row assembly ------------------------------------------------------------
-
-
-def test_single_row_single_term(z3):
-    f = Func.indicator(z3, {0})
-    v = single_row_rnormalizer(f, [f], [0])
-    assert v == __import__("dynalg").CrossedElement.monomial(f, 0)
-    assert is_r_normalizer_by_support(v)
-
-
-def test_single_row_two_terms(z4):
-    f = Func.indicator(z4, {0, 1})
-    h1 = Func.indicator(z4, {0})
-    h2 = Func.indicator(z4, {1})
-    v = single_row_rnormalizer(f, [h1, h2], [1, 2])
-    assert is_r_normalizer_by_support(v)
-
-
-def test_single_row_overlap_rejected(z4):
-    f = Func.indicator(z4, {0})
-    with pytest.raises(SupportOverlap):
-        single_row_rnormalizer(f, [f, f], [0, 0])
-
-
-def test_single_row_randomized():
-    rng = random.Random(41)
-    for _ in range(40):
-        sys = random_free_system(rng, max_points=6)
-        pts = list(range(sys.n_points))
-        rng.shuffle(pts)
-        f = Func.indicator(sys, pts[: rng.randint(1, sys.n_points)])
-        k = rng.randint(1, min(3, sys.group.order))
-        parts = [[] for _ in range(k)]
-        for x in f.support:
-            parts[rng.randrange(k)].append(x)
-        weights = [Func.indicator(sys, p) for p in parts]
-        moves = rng.sample(range(sys.group.order), k)
-        try:
-            v = single_row_rnormalizer(f, weights, moves)
-        except SupportOverlap:
-            continue
-        assert is_r_normalizer_by_support(v)
 
 
 # -- the three-way equivalence suite -------------------------------------------------
