@@ -9,12 +9,13 @@ when the mathematical verdict is false); nonzero is reserved for errors.
 Every request takes one path, through ``main``:
 
 1. parse the arguments;
-2. check the flags that need no file: ``--budget``, then ``--max-n`` for
-   ``semigroup`` and ``compare --semigroup``, then the castle flags a
-   verb refuses (``validate --float``, and ``tzs`` with both ``--data``
-   and ``--identity``).  Only the commands that parse scalars take
-   ``--exact``/``--float``, and only those that can build a type
-   semigroup take ``--budget``;
+2. check the flag values that need no file: ``--budget``, then
+   ``--max-n`` for ``semigroup`` and ``compare --semigroup``.  The parser
+   decides which flags a command takes: each verb of ``castle`` and
+   ``witness`` has its own, so a flag the verb does not read, or two
+   flags that exclude each other, exit 2 before this step.  Only the
+   commands that parse scalars take ``--exact``/``--float``, and only
+   those that can build a type semigroup take ``--budget``;
 3. start the timer;
 4. load, parse and validate the system file;
 5. run the command's handler, which reads its other files and computes;
@@ -417,17 +418,19 @@ def _digest(parts) -> str:
 
 def _check_flags(args) -> None:
     """The checks that read no file: budget, then ``--max-n`` where a
-    semigroup table is built, then the castle flags that a verb does not
-    read."""
+    semigroup table is built."""
     if getattr(args, "budget", 0) < 0:
         raise ParseError("--budget must be nonnegative, got %d" % args.budget)
     if (args.command == "semigroup" or getattr(args, "semigroup", False)) and args.max_n < 0:
         raise ParseError("--max-n must be nonnegative, got %d" % args.max_n)
-    if args.command == "castle":
-        if args.verb == "validate" and args.float_mode:
-            raise ParseError("castle validate reads no scalars; --float does not apply")
-        if args.verb == "tzs" and args.data and args.identity:
-            raise ParseError("castle tzs takes --data or --identity, not both")
+
+
+def _needed_file(args, path, flag):
+    """The JSON of the file a verb cannot run without; a missing ``flag``
+    is a ParseError, which comes only after the system file has loaded."""
+    if not path:
+        raise ParseError("%s %s needs --%s" % (args.command, args.verb, flag))
+    return _load_json(path)
 
 
 # -- command handlers ------------------------------------------------------
@@ -491,9 +494,7 @@ def cmd_witness(args, sys_obj, payload, rep):
     inputs = {"system": payload, "a": a_shown, "b": b_shown, "verb": args.verb}
     certificates = {}
     if args.verb == "extract":
-        if not args.certificate:
-            raise ParseError("witness extract needs --certificate")
-        given = _load_json(args.certificate)
+        given = _needed_file(args, args.certificate, "certificate")
         inputs["certificate"] = given
         eps, delta, t = parse_certificate(sys_obj, given, args.float_mode)
         w = extract_witness(a, b, eps, delta, t)
@@ -528,23 +529,16 @@ def cmd_witness(args, sys_obj, payload, rep):
     return command, inputs, result, certificates, {}
 
 
-# the file flag each castle verb needs
-_CASTLE_FILE_FLAG = {"validate": "castle", "build-ozm": "data", "decompose": "data", "tzs": "instance"}
-
-
 def cmd_castle(args, sys_obj, payload, rep):
-    flag = _CASTLE_FILE_FLAG[args.verb]
-    if not getattr(args, flag):
-        raise ParseError("castle %s needs --%s" % (args.verb, flag))
-    given = _load_json(getattr(args, flag))
     inputs = {"system": payload, "verb": args.verb}
     certificates = {}
     margins = {}
     if args.verb == "validate":
-        castle = parse_castle(sys_obj, given)
+        castle = parse_castle(sys_obj, _needed_file(args, args.castle, "castle"))
         inputs["castle"] = castle_payload(castle)
         result = {"valid": validate_castle(castle)}
     elif args.verb == "tzs":
+        given = _needed_file(args, args.instance, "instance")
         inst = parse_tzs_instance(sys_obj, given, args.float_mode)
         inputs["instance"] = given
         if args.identity:
@@ -575,7 +569,7 @@ def cmd_castle(args, sys_obj, payload, rep):
                 sys_obj, report.remainder_witness
             )
     else:
-        data = parse_ozm_data(sys_obj, given, args.float_mode)
+        data = parse_ozm_data(sys_obj, _needed_file(args, args.data, "data"), args.float_mode)
         inputs["data"] = ozm_data_payload(data)
         phi = build_castle_ozm(data)
         if args.verb == "build-ozm":
@@ -621,7 +615,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scalars=False, budget=False):
+    def command(subs, name, handler, scalars=False, budget=False, **kw):
+        """The parser of a command or verb that runs ``handler``.  A flag
+        is matched by its whole name, never as an abbreviation of another."""
+        p = subs.add_parser(name, allow_abbrev=False, **kw)
         p.add_argument("--system", required=True, help="system description file")
         if scalars:
             mode = p.add_mutually_exclusive_group()
@@ -633,51 +630,54 @@ def build_parser() -> argparse.ArgumentParser:
                 "--float", dest="float_mode", action="store_true",
                 help="parse scalars as floats (exploratory mode)",
             )
-        p.set_defaults(float_mode=False)
+        p.set_defaults(float_mode=False, handler=handler)
         if budget:
             p.add_argument(
                 "--budget", type=int, default=500_000,
                 help="cap on the type-semigroup enumeration",
             )
         p.add_argument("--json", dest="json_out", default=None, help="also write the report here")
+        return p
 
-    p = sub.add_parser("system-check", help="validate a system file")
-    common(p)
-    p.set_defaults(handler=cmd_system_check)
+    command(sub, "system-check", cmd_system_check, help="validate a system file")
 
-    p = sub.add_parser("compare", help="decide subequivalence of diagonal tuples")
-    common(p, scalars=True, budget=True)
+    p = command(
+        sub, "compare", cmd_compare, scalars=True, budget=True,
+        help="decide subequivalence of diagonal tuples",
+    )
     p.add_argument("--a", action="append", required=True, help="tuple entry (repeatable)")
     p.add_argument("--b", action="append", required=True, help="tuple entry (repeatable)")
     p.add_argument("--witness", action="store_true", help="include the witness")
     p.add_argument("--oracle", action="store_true", help="include the rank oracle verdict")
     p.add_argument("--semigroup", action="store_true", help="include semigroup class data")
     p.add_argument("--max-n", type=int, default=2)
-    p.set_defaults(handler=cmd_compare)
 
-    p = sub.add_parser("witness", help="compile, extract, or round-trip certificates")
-    p.add_argument("verb", choices=["compile", "extract", "roundtrip"])
-    common(p, scalars=True)
-    p.add_argument("--a", action="append", required=True)
-    p.add_argument("--b", action="append", required=True)
-    p.add_argument("--epsilon", default="1/2")
-    p.add_argument("--witness-file", default=None)
-    p.add_argument("--certificate", default=None, help="certificate file (extract)")
-    p.set_defaults(handler=cmd_witness)
+    verbs = sub.add_parser("witness", help="compile, extract, or round-trip certificates")
+    verbs = verbs.add_subparsers(dest="verb", required=True)
+    for verb in ("compile", "extract", "roundtrip"):
+        p = command(verbs, verb, cmd_witness, scalars=True)
+        p.add_argument("--a", action="append", required=True)
+        p.add_argument("--b", action="append", required=True)
+        if verb == "extract":
+            p.add_argument("--certificate", default=None, help="certificate file")
+        else:
+            p.add_argument("--epsilon", default="1/2")
+            p.add_argument("--witness-file", default=None)
 
-    p = sub.add_parser("castle", help="castle and order-zero-map operations")
-    p.add_argument("verb", choices=["validate", "build-ozm", "decompose", "tzs"])
-    common(p, scalars=True)
-    p.add_argument("--castle", default=None)
-    p.add_argument("--data", default=None, help="castle map data file")
+    verbs = sub.add_parser("castle", help="castle and order-zero-map operations")
+    verbs = verbs.add_subparsers(dest="verb", required=True)
+    command(verbs, "validate", cmd_castle).add_argument("--castle", default=None)
+    for verb in ("build-ozm", "decompose"):
+        p = command(verbs, verb, cmd_castle, scalars=True)
+        p.add_argument("--data", default=None, help="castle map data file")
+    p = command(verbs, "tzs", cmd_castle, scalars=True)
     p.add_argument("--instance", default=None, help="stability instance file")
-    p.add_argument("--identity", action="store_true", help="use the identity embedding")
-    p.set_defaults(handler=cmd_castle)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--data", default=None, help="castle map data file")
+    source.add_argument("--identity", action="store_true", help="use the identity embedding")
 
-    p = sub.add_parser("semigroup", help="compute the type semigroup table")
-    common(p, budget=True)
+    p = command(sub, "semigroup", cmd_semigroup, budget=True, help="compute the type semigroup table")
     p.add_argument("--max-n", type=int, default=2)
-    p.set_defaults(handler=cmd_semigroup)
 
     return parser
 

@@ -23,20 +23,29 @@ Mixed exact/float arithmetic and equality are defined in
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from .errors import ExactnessError, RadicalAdditionMismatch
+from .errors import ExactnessError, RadicalAdditionMismatch, ResourceBound
 
 __all__ = ["RadScalar", "FloatScalar", "as_scalar"]
 
 FLOAT_TOL = 1e-9  # the absolute tolerance of every float decision in dynalg
 
 
+_TRIAL_BOUND = 1 << 20  # the largest trial divisor of _square_split
+
+
 def _square_split(n: int) -> tuple[int, int]:
-    """Write n = outer**2 * core with core square-free (n >= 1)."""
+    """Write n = outer**2 * core with core square-free (n >= 1).
+
+    Trial division stops past ``_TRIAL_BOUND``.  A cofactor m left with no
+    prime factor below the next divisor d, and m < d**3, has at most two
+    prime factors: it is a square exactly when ``isqrt(m)**2 == m``, and
+    square-free otherwise.  A larger cofactor raises ResourceBound."""
+    radicand = n
     outer, core = 1, 1
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= _TRIAL_BOUND:
         if n % d == 0:
             cnt = 0
             while n % d == 0:
@@ -46,6 +55,16 @@ def _square_split(n: int) -> tuple[int, int]:
             if cnt & 1:
                 core *= d
         d += 1 if d == 2 else 2
+    if d * d > n:
+        return outer, core * n
+    if n >= d * d * d:
+        raise ResourceBound(
+            "cannot split the radicand %d: a cofactor of it has no prime factor "
+            "up to %d and may have more than two" % (radicand, _TRIAL_BOUND)
+        )
+    root = isqrt(n)
+    if root * root == n:
+        return outer * root, core
     return outer, core * n
 
 

@@ -579,7 +579,10 @@ def test_repeated_calls_share_no_state(capsys, z3_file):
 
 
 def test_cached_parser_help_matches_a_fresh_parser(capsys):
-    for argv in (["--help"], ["castle", "--help"], ["compare", "--help"]):
+    for argv in (
+        ["--help"], ["castle", "--help"], ["compare", "--help"],
+        ["castle", "tzs", "--help"], ["witness", "extract", "--help"],
+    ):
         with pytest.raises(SystemExit):
             main(argv)
         cached = capsys.readouterr().out
@@ -683,18 +686,23 @@ def test_bad_tolerance_and_budget_rejected(capsys, z2_file):
     )
     assert code == 0 and json.loads(out)["params"]["tolerance"] == 1e-9
     # the tolerance is fixed: --tolerance is no longer an option; --float
-    # and --budget only where scalars are parsed or a semigroup is built
-    for argv, flags in (
-        (["system-check", "--tolerance", "0"], "--tolerance 0"),
-        (["semigroup", "--float"], "--float"),
-        (["system-check", "--float", "--budget", "3"], "--float --budget 3"),
+    # and --budget only where scalars are parsed or a semigroup is built;
+    # castle validate reads no scalars, and castle tzs takes --data or
+    # --identity, not both
+    for argv, message in (
+        (["system-check", "--tolerance", "0"], "unrecognized arguments: --tolerance 0"),
+        (["semigroup", "--float"], "unrecognized arguments: --float"),
+        (["system-check", "--float", "--budget", "3"], "unrecognized arguments: --float --budget 3"),
+        (["castle", "validate", "--float"], "unrecognized arguments: --float"),
+        (["castle", "tzs", "--instance", z2_file, "--identity", "--data", z2_file],
+         "argument --data: not allowed with argument --identity"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--system", z2_file])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "unrecognized arguments: %s" % flags in captured.err
+        assert message in captured.err
 
 
 def _single_error(err):
@@ -732,6 +740,26 @@ def test_unwritable_json_out_rejected(capsys, tmp_path, z3_file):
     assert not target.exists()
 
 
+def test_huge_radicands_split_or_refused_at_once(capsys, tmp_path, z3_file):
+    # sqrt(1 - 10**-400) has a radicand that bounded trial division cannot
+    # split; it is refused instead of factored for hours
+    code, out, err = run_cli(capsys, [
+        "witness", "compile", "--system", z3_file, "--a", "chi:0", "--b", "chi:1,2",
+        "--epsilon", "1e-400",
+    ])
+    assert code == 1 and out == ""
+    assert _single_error(err)["error"] == "ResourceBound"
+    # a prime radicand past the last trial divisor splits: it lies below
+    # that divisor's cube, so it has at most two prime factors
+    entry = tmp_path / "f.json"
+    entry.write_text(json.dumps([["0", "1 sqrt 1000000000000000003"]]))
+    code, out, err = run_cli(
+        capsys, ["compare", "--system", z3_file, "--a", "@" + str(entry), "--b", "chi:1,2"]
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["subequivalent"] is True
+
+
 # -- error precedence and input reads ----------------------------------------------------
 
 
@@ -741,9 +769,9 @@ def _expected_error(error, message):
 
 def test_error_precedence(capsys, tmp_path, z2_file, z3_file):
     # flag checks come before any file is read: budget first, then
-    # --max-n (semigroup always, compare only with --semigroup), then the
-    # castle flags a verb refuses; a missing file flag is reported only
-    # after the system file has loaded and validated
+    # --max-n (semigroup always, compare only with --semigroup); a missing
+    # file flag is reported only after the system file has loaded and
+    # validated
     missing = str(tmp_path / "missing.json")
     no_file = "cannot read %s: [Errno 2] No such file or directory: %r" % (missing, missing)
     inst = str(tmp_path / "inst.json")
@@ -756,11 +784,6 @@ def test_error_precedence(capsys, tmp_path, z2_file, z3_file):
         (["compare", "--system", missing, "--a", "chi:0", "--b", "chi:1",
           "--semigroup", "--max-n", "-1"],
          ("ParseError", "--max-n must be nonnegative, got -1")),
-        (["castle", "validate", "--float", "--system", missing],
-         ("ParseError", "castle validate reads no scalars; --float does not apply")),
-        (["castle", "tzs", "--system", missing, "--instance", missing, "--identity",
-          "--data", missing],
-         ("ParseError", "castle tzs takes --data or --identity, not both")),
         (["castle", "validate", "--system", missing], ("ParseError", no_file)),
         (["witness", "extract", "--system", missing, "--a", "chi:0", "--b", "chi:1"],
          ("ParseError", no_file)),

@@ -1,13 +1,14 @@
 import fractions
 import operator
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dynalg import ExactnessError, FloatScalar, RadicalAdditionMismatch, RadScalar
-from dynalg.scalars import FLOAT_TOL
+from dynalg import ExactnessError, FloatScalar, RadicalAdditionMismatch, RadScalar, ResourceBound
+from dynalg.scalars import FLOAT_TOL, _square_split
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -41,6 +42,55 @@ def test_canonical_form_extracts_squares():
     assert (s.re, s.rad) == (Fraction(2), 3)
     t = RadScalar(1, 0, Fraction(1, 2))  # sqrt(1/2) = (1/2) sqrt(2)
     assert (t.re, t.rad) == (Fraction(1, 2), 2)
+
+
+def _trial_split(n):
+    """n = outer**2 * core by trial division up to sqrt(n), unbounded."""
+    outer, core, d = 1, 1, 2
+    while d * d <= n:
+        cnt = 0
+        while n % d == 0:
+            n //= d
+            cnt += 1
+        outer *= d ** (cnt // 2)
+        core *= d ** (cnt & 1)
+        d += 1 if d == 2 else 2
+    return outer, core * n
+
+
+def test_square_split_matches_unbounded_trial_division():
+    rng = random.Random(12)
+    for n in list(range(1, 50_000)) + [rng.randrange(1, 10**12) for _ in range(60)]:
+        assert _square_split(n) == _trial_split(n), n
+
+
+P, Q = 1_048_583, 1_048_589  # the two least primes above 2**20 + 1
+
+
+@pytest.mark.parametrize(
+    "n, split",
+    [
+        (P, (1, P)),
+        (P * Q, (1, P * Q)),
+        (P * P, (P, 1)),
+        (12 * P * P, (2 * P, 3)),
+        (7 * P * Q, (1, 7 * P * Q)),
+        (10**16 + 61, (1, 10**16 + 61)),
+        (10**18 + 3, (1, 10**18 + 3)),
+    ],
+)
+def test_square_split_past_the_trial_divisors(n, split):
+    # the cofactor left by bounded trial division is below the cube of
+    # the next divisor, so it has at most two prime factors
+    assert _square_split(n) == split
+
+
+def test_square_split_refuses_a_cofactor_it_cannot_split():
+    n = 10**400 - 1
+    with pytest.raises(ResourceBound, match="radicand %d:" % n):
+        _square_split(n)
+    with pytest.raises(ResourceBound):
+        RadScalar(1, 0, Fraction(n, 10**400))
 
 
 def test_zero_has_radicand_one():
