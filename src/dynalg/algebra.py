@@ -422,6 +422,12 @@ class CrossedElement:
         return "CrossedElement(%s)" % parts
 
 
+def _stored_points(a: CrossedElement) -> set:
+    """The points where some coefficient of a stores a value: a superset of
+    the points where a coefficient is nonzero, in either scalar mode."""
+    return set().union(*(c.sparse.keys() for c in a.coeffs))
+
+
 def cond_expectation(a: CrossedElement) -> Func:
     """E(a) = a_e, the faithful conditional expectation onto C(X)."""
     return a.cond_expectation()

@@ -39,7 +39,12 @@ relations
 
 which make products of images factor through matrix products by
 bilinearity, so vanishing on the finite family extends to every
-orthogonal pair.  Complete positivity is certified by positivity of the
+orthogonal pair.  Products that cannot have a term are not formed: the
+term a_g alpha_g(b_h) u_{gh} of a b is nonzero at x only where a_g(x)
+and b_h(g^{-1} x) are, so a b = 0 exactly, with no scalar operation,
+when the points g^{-1}.x (x stored by a_g) miss every point stored by a
+coefficient of b.  On castle maps this leaves only the n^3 products of
+the second relation.  Complete positivity is certified by positivity of the
 Choi matrix in the faithful representation (absolute tolerance 1e-9).
 The representation never moves the point of the space, so the Choi
 matrix is a direct sum of one n|G| block per point, and the blocks of
@@ -64,6 +69,7 @@ from .algebra import (
     Func,
     _orbit_point_blocks,
     _positivity_failure,
+    _stored_points,
     operator_norm,
 )
 from .comparison import Witness, diag_subequivalent, search_subequivalence
@@ -80,6 +86,7 @@ from .errors import (
     NotOrderZero,
     PreconditionFailed,
     ResourceBound,
+    SystemMismatch,
 )
 from .normalizers import check_normalizer_preserving
 from .scalars import FLOAT_TOL, RadScalar
@@ -286,14 +293,27 @@ class CastleOzmData:
 
 
 class OrderZeroMap:
-    """A linear map given by its matrix-unit images."""
+    """A linear map given by its matrix-unit images.
+
+    Every image of e_ij, 0 <= i, j < n, must be given, over ``system``
+    itself; a missing image or a negative n raises PreconditionFailed,
+    and an image over another system raises SystemMismatch.
+    """
 
     def __init__(self, system: DynSystem, n: int, images: dict):
+        if n < 0:
+            raise PreconditionFailed("map size must be >= 0, got %d" % n)
         self.system = system
         self.n = n
-        self.images = {
-            (i, j): images[(i, j)] for i in range(n) for j in range(n)
-        }
+        self.images = {}
+        for i in range(n):
+            for j in range(n):
+                if (i, j) not in images:
+                    raise PreconditionFailed("no image for e_(%d, %d)" % (i, j))
+                image = images[(i, j)]
+                if image.system is not system:
+                    raise SystemMismatch("image of e_(%d, %d) over a different system" % (i, j))
+                self.images[(i, j)] = image
 
     @classmethod
     def zero(cls, system: DynSystem, n: int) -> "OrderZeroMap":
@@ -326,14 +346,19 @@ class OrderZeroMap:
 
 
 def _assemble(data: CastleOzmData) -> OrderZeroMap:
-    """The map of already validated castle data, without verification."""
+    """The map of already validated castle data, without verification.
+
+    Each image is built once from its coefficient list: tower t adds
+    psi . alpha_{s_i^{-1}} to the coefficient of u_{s_i s_j^{-1}}.
+    """
     sys = data.castle.system
     grp = sys.group
     n = data.n
+    zero = Func.zero(sys)
     images = {}
     for i in range(n):
         for j in range(n):
-            acc = CrossedElement.zero(sys)
+            coeffs = [zero] * grp.order
             for (base, shape), f, th_row in zip(
                 data.castle.towers, data.weights, data.phases
             ):
@@ -342,9 +367,8 @@ def _assemble(data: CastleOzmData) -> OrderZeroMap:
                     continue
                 si, sj = shape[i], shape[j]
                 g = grp.mul(si, grp.inv(sj))
-                coeff = psi.compose_action(grp.inv(si))
-                acc = acc + CrossedElement.monomial(coeff, g)
-            images[(i, j)] = acc
+                coeffs[g] = coeffs[g] + psi.compose_action(grp.inv(si))
+            images[(i, j)] = CrossedElement(sys, coeffs)
     return OrderZeroMap(sys, n, images)
 
 
@@ -425,6 +449,18 @@ def identity_embedding(sys: DynSystem) -> OrderZeroMap:
 # -- verifiers -------------------------------------------------------------
 
 
+def _source_points(a: CrossedElement) -> set:
+    """The points g^{-1}.x for every point x stored by a coefficient a_g."""
+    sys = a.system
+    grp = sys.group
+    out: set[int] = set()
+    for g, c in enumerate(a.coeffs):
+        if c.sparse:
+            back = sys.act[grp.inv(g)]
+            out.update(back[x] for x in c.sparse)
+    return out
+
+
 def verify_order_zero(phi: OrderZeroMap) -> bool:
     """Exact order-zero check via matrix-unit relations plus the diagonal
     positive-pair family.
@@ -434,9 +470,32 @@ def verify_order_zero(phi: OrderZeroMap) -> bool:
     is equivalent to annihilating orthogonal positives, which is the
     defining property; the toolkit's maps are checked for complete
     positivity alongside.
+
+    Products are screened by supports.  Let src(a) be the points g^{-1}.x
+    over the points x that a_g stores, and rng(b) the points that any
+    coefficient of b stores.  The product a b = sum_{g,h} a_g
+    (b_h . alpha_{g^{-1}}) u_{gh} multiplies a_g(x) by b_h(g^{-1}.x), and
+    ``CrossedElement.__mul__`` reads only stored values, so when src(a)
+    and rng(b) are disjoint it adds no term and returns the exact zero
+    (a = a chi_src and b = chi_rng b).  Stored points include float values
+    within tolerance of zero, so the screen is conservative in both
+    scalar modes, and a skipped product raises nothing.
+
+    The first relation multiplies only the pairs whose sets meet.  The
+    diagonal family screens p_S p_T by the unions of the sets over S and
+    over T, since p_S stores only points that some phi(e_ii), i in S,
+    stores on the same u_g.  For exact maps that family follows from the
+    first relation by bilinearity; for float maps it does not, since a
+    sum of products within tolerance of zero can exceed it.  Its sums are
+    skipped only when no two diagonal images store a value at the same
+    point on the same u_g, because elsewhere a sum can raise
+    RadicalAdditionMismatch.  The second relation forms all its n^3
+    products.
     """
     n = phi.n
     img = phi.images
+    src = {key: _source_points(a) for key, a in img.items()}
+    rng = {key: _stored_points(a) for key, a in img.items()}
     for i in range(n):
         for j in range(n):
             a = img[(i, j)]
@@ -446,6 +505,8 @@ def verify_order_zero(phi: OrderZeroMap) -> bool:
                 if k == j:
                     continue
                 for l in range(n):
+                    if src[(i, j)].isdisjoint(rng[(k, l)]):
+                        continue
                     if not (a * img[(k, l)]).is_zero:
                         return False
     for i in range(n):
@@ -458,10 +519,18 @@ def verify_order_zero(phi: OrderZeroMap) -> bool:
                 elif prod != ref:
                     return False
     # documented positive family: diagonal projections against complements
+    stored = [
+        (g, x) for i in range(n) for g, c in enumerate(img[(i, i)].coeffs) for x in c.sparse
+    ]
+    screened = len(set(stored)) == len(stored)
     for bits in range(1, 1 << n):
         S = [i for i in range(n) if bits >> i & 1]
         T = [i for i in range(n) if not bits >> i & 1]
         if not T:
+            continue
+        if screened and set().union(*(src[(i, i)] for i in S)).isdisjoint(
+            set().union(*(rng[(i, i)] for i in T))
+        ):
             continue
         pS = CrossedElement.zero(phi.system)
         for i in S:

@@ -13,6 +13,13 @@ sums directly, with no crossed products.  A matrix amplification is
 decided entrywise: every entry is an r-normalizer, and two entries of one
 row give zero against every point indicator.
 
+Every term of the sum at x carries the factor b_h(x) c_{hk}(x), so the
+sums vanish at every point x where b or c stores no coefficient value.
+The predicates therefore visit only the points that carry a coefficient
+(of a, or of both entries of a row pair), in ascending order, so the
+first point whose sums raise RadicalAdditionMismatch is the same as in a
+pass over every point.
+
 For free actions the one-sided condition is equivalent to the
 coefficient supports being pairwise disjoint
 (``coefficient_supports_disjoint``).  The test suite keeps that
@@ -26,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import CrossedElement, MatrixElement, Scalar
+from .algebra import CrossedElement, MatrixElement, Scalar, _stored_points
 from .errors import HypothesisViolated, InvariantViolation
 
 __all__ = [
@@ -92,11 +99,13 @@ def is_r_normalizer(a: CrossedElement) -> bool:
 
     For each point x the u_k coefficient of a* chi_x a is
     sum_h conj(a_h(x)) a_{hk}(x) chi_{h^{-1} x}; a is an r-normalizer
-    exactly when every such sum with k != e vanishes at every point.
+    exactly when every such sum with k != e vanishes at every point.  At
+    a point where no coefficient stores a value the sums have no term, so
+    only the other points are visited, in ascending order.
     """
     return all(
         _point_product_vanishes(a, a, x, diagonal_allowed=True)
-        for x in range(a.system.n_points)
+        for x in sorted(_stored_points(a))
     )
 
 
@@ -124,7 +133,9 @@ def matrix_is_r_normalizer(x: MatrixElement) -> bool:
     """r-normalizer test for matrix amplifications.
 
     Each entry must be an r-normalizer, and any two entries x_ki, x_kj
-    (i < j) of one row must satisfy x_ki* chi_p x_kj = 0 at every point p.
+    (i < j) of one row must satisfy x_ki* chi_p x_kj = 0 at every point p;
+    that product has no term unless both entries store a value at p, so
+    only those points are visited, in ascending order.
     """
     n = x.n
     for i in range(n):
@@ -140,7 +151,7 @@ def matrix_is_r_normalizer(x: MatrixElement) -> bool:
                 right = x.entries[k][j]
                 if right.is_zero:
                     continue
-                for p in range(x.system.n_points):
+                for p in sorted(_stored_points(left) & _stored_points(right)):
                     if not _point_product_vanishes(left, right, p, diagonal_allowed=False):
                         return False
     return True

@@ -541,6 +541,48 @@ def dense_verify_cpc(phi, tol: float = 1e-9) -> bool:
     return np.linalg.norm(dense_regular_rep(phi.unit_image()), 2) <= 1 + tol
 
 
+def product_order_zero(phi) -> bool:
+    """The order-zero relations by forming every product: phi(e_ij)
+    phi(e_kl) = 0 for j != k, phi(e_ij) phi(e_jl) independent of j, and
+    p_S p_T = 0 for each diagonal projection p_S against its complement."""
+    n = phi.n
+    img = phi.images
+    for i in range(n):
+        for j in range(n):
+            a = img[(i, j)]
+            if a.is_zero:
+                continue
+            for k in range(n):
+                if k == j:
+                    continue
+                for l in range(n):
+                    if not (a * img[(k, l)]).is_zero:
+                        return False
+    for i in range(n):
+        for l in range(n):
+            ref = None
+            for j in range(n):
+                prod = img[(i, j)] * img[(j, l)]
+                if ref is None:
+                    ref = prod
+                elif prod != ref:
+                    return False
+    for bits in range(1, 1 << n):
+        S = [i for i in range(n) if bits >> i & 1]
+        T = [i for i in range(n) if not bits >> i & 1]
+        if not T:
+            continue
+        pS = CrossedElement.zero(phi.system)
+        for i in S:
+            pS = pS + img[(i, i)]
+        pT = CrossedElement.zero(phi.system)
+        for i in T:
+            pT = pT + img[(i, i)]
+        if not (pS * pT).is_zero:
+            return False
+    return True
+
+
 # -- representation builders, one loop per concept -----------------------------
 
 

@@ -11,6 +11,7 @@ from dynalg import (
     Castle,
     CastleOzmData,
     CrossedElement,
+    DynalgError,
     DynSystem,
     EmptyShape,
     ExactnessError,
@@ -22,8 +23,11 @@ from dynalg import (
     NotNormalizerPreserving,
     NotOrderZero,
     OrderZeroMap,
+    PreconditionFailed,
+    RadicalAdditionMismatch,
     RadScalar,
     ResourceBound,
+    SystemMismatch,
     TzsInstance,
     almost_finiteness_certificate,
     build_castle_ozm,
@@ -43,6 +47,7 @@ from dynalg import (
 from _support import (
     dense_regular_rep,
     dense_verify_cpc,
+    product_order_zero,
     quotient_system,
     random_element,
     random_free_system,
@@ -50,7 +55,7 @@ from _support import (
 )
 import dynalg.algebra
 import dynalg.castles as castles
-from dynalg.cli import main
+from dynalg.cli import main, parse_ozm_data, parse_system
 from dynalg.scalars import FLOAT_TOL
 
 PHASE_POOL = [RadScalar(1), RadScalar(-1), RadScalar(0, 1), RadScalar(0, -1)]
@@ -59,6 +64,7 @@ WEIGHT_POOL = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]
 DEMO_DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
 DEMO_Z2 = str(DEMO_DATA_DIR / "z2.json")
 DEMO_DATA = str(DEMO_DATA_DIR / "data.json")
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def random_castle_data(rng, sys, n, max_towers=3, phase_pool=PHASE_POOL):
@@ -892,3 +898,184 @@ def test_decompose_of_exact_castle_maps_calls_no_verifier(monkeypatch, z2):
     _patch_verifiers(monkeypatch, _refuse)
     for phi in maps:
         assert build_castle_ozm(decompose_ozm(phi)) == phi
+
+
+# -- malformed maps ----------------------------------------------------------------
+
+
+def test_order_zero_map_rejects_an_image_over_another_system(z2, z3):
+    images = {(i, j): CrossedElement.zero(z2) for i in range(2) for j in range(2)}
+    images[(1, 1)] = CrossedElement.unit(z3)
+    with pytest.raises(SystemMismatch):
+        OrderZeroMap(z2, 2, images)
+
+
+def test_order_zero_map_rejects_a_missing_image(z2):
+    images = {(i, j): CrossedElement.zero(z2) for i in range(2) for j in range(2)}
+    del images[(0, 1)]
+    with pytest.raises(PreconditionFailed):
+        OrderZeroMap(z2, 2, images)
+
+
+def test_order_zero_map_rejects_a_negative_size(z2):
+    with pytest.raises(PreconditionFailed):
+        OrderZeroMap(z2, -1, {})
+    assert OrderZeroMap(z2, 0, {}).images == {}
+
+
+# -- order zero decided by supports ----------------------------------------------
+
+
+def _outcome(check, phi):
+    """The verdict of check(phi), or the type of the error it raises."""
+    try:
+        return check(phi)
+    except DynalgError as exc:
+        return type(exc)
+
+
+def _as_float(f):
+    return Func.from_dict(f.system, {x: FloatScalar(complex(v)) for x, v in f.sparse.items()})
+
+
+def _float_data(data):
+    return CastleOzmData(
+        castle=data.castle,
+        weights=tuple(_as_float(f) for f in data.weights),
+        phases=tuple(tuple(_as_float(th) for th in row) for row in data.phases),
+        n=data.n,
+    )
+
+
+def _with_image_added(phi, rng):
+    """phi with a random element added to one random image."""
+    key = (rng.randrange(phi.n), rng.randrange(phi.n))
+    images = dict(phi.images)
+    images[key] = images[key] + random_element(rng, phi.system, max_terms=1, density=0.2)
+    return OrderZeroMap(phi.system, phi.n, images)
+
+
+def _diagonal(sys, values):
+    z = CrossedElement.zero(sys)
+    images = {(i, j): z for i in range(len(values)) for j in range(len(values))}
+    for i, f in enumerate(values):
+        images[(i, i)] = f
+    return OrderZeroMap(sys, len(values), images)
+
+
+def _radical_diagonal_sum(sys):
+    # phi(e_11) and phi(e_22) store sqrt(2) and sqrt(3) at one point on
+    # one u_g, and every product of images vanishes, so only the sum
+    # p_{1,2} raises, though phi(e_33) = 0 leaves nothing to multiply
+    x, g = 0, 1
+    return _diagonal(sys, [
+        CrossedElement.monomial(Func.from_dict(sys, {x: RadScalar(1, 0, r)}), g) for r in (2, 3)
+    ] + [CrossedElement.zero(sys)])
+
+
+def _float_sum_exceeds_tolerance(sys):
+    # each product c^2 = 7e-10 of two diagonal images lies within the
+    # tolerance, so both relations hold, but p_{1,2} p_3 = 1.4e-9 does not
+    c = FloatScalar(7e-10 ** 0.5)
+    return _diagonal(sys, [CrossedElement.from_func(Func.from_dict(sys, {0: c}))] * 3)
+
+
+def _diagonal_compression(sys):
+    return _diagonal(sys, [CrossedElement.from_func(Func.indicator(sys, {x})) for x in (0, 1)])
+
+
+def _transposed(sys):
+    phi = identity_embedding(sys)
+    return OrderZeroMap(sys, phi.n, {(i, j): phi.images[(j, i)] for (i, j) in phi.images})
+
+
+def _golden_float_map(name, system):
+    sys = parse_system(json.loads((DEMO_DATA_DIR / system).read_text()))
+    payload = json.loads((GOLDEN_INPUTS / name).read_text())
+    return castles._assemble(parse_ozm_data(sys, payload, float_mode=True))
+
+
+def test_verify_order_zero_matches_the_product_oracle(z2, z3):
+    """The screened verifier and the verifier that forms every product
+    agree, verdict and error type, on exact castle maps, the same maps
+    with a pair of images negated or an element added to one image, Gram
+    maps, the failing maps of this module, and float castle maps
+    assembled without verification, the golden float inputs among them."""
+    rng = random.Random(54)
+    maps = []
+    while len(maps) < 150:
+        sys = random_free_system(rng, max_points=8)
+        data = random_castle_data(rng, sys, rng.randint(1, min(3, sys.group.order)))
+        if data is None:
+            continue
+        phi = build_castle_ozm(data)
+        maps += [phi, with_pair_negated(phi, rng), _with_image_added(phi, rng)]
+        flt = castles._assemble(_float_data(data))
+        maps += [flt, OrderZeroMap(sys, flt.n, {
+            k: v.scaled(FloatScalar(1 + 3 * FLOAT_TOL)) for k, v in flt.images.items()
+        })]
+    for sys in (quotient_system(), random_free_system(rng, max_points=6)) * 5:
+        n = rng.randint(1, 3)
+        bs = [random_element(rng, sys, max_terms=2, density=0.3) for _ in range(n)]
+        maps.append(OrderZeroMap(sys, n, {(i, j): bs[i].adjoint() * bs[j]
+                                          for i in range(n) for j in range(n)}))
+    for make in (_flat, _not_adjoint_symmetric, _noncontractive, _not_normalizer,
+                 _float_weight, _off_diagonal_corner, _negative_within_tolerance,
+                 _diagonal_compression, _transposed):
+        maps += [make(z2), make(z3)]
+    trivial = DynSystem.translation(FiniteGroup.trivial())
+    maps += [_radical_diagonal_sum(z3), _float_sum_exceeds_tolerance(trivial)]
+    maps += [_golden_float_map("float_modulus_above_one.json", "z2.json"),
+             _golden_float_map("float_uneven_moduli.json", "z3.json")]
+    outcomes = set()
+    for phi in maps:
+        expected = _outcome(product_order_zero, phi)
+        assert _outcome(verify_order_zero, phi) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False, RadicalAdditionMismatch}
+
+
+def test_the_diagonal_family_decides_float_sums(z3):
+    """Both relations hold within tolerance, and only the diagonal family
+    sees that a sum of products exceeds it; a sum of unlike radicands
+    raises as it does when every product is formed."""
+    trivial = DynSystem.translation(FiniteGroup.trivial())
+    assert not verify_order_zero(_float_sum_exceeds_tolerance(trivial))
+    with pytest.raises(RadicalAdditionMismatch):
+        verify_order_zero(_radical_diagonal_sum(z3))
+
+
+@pytest.fixture
+def crossed_products(monkeypatch):
+    """The number of crossed products formed, as a one-item list."""
+    count = [0]
+    product = CrossedElement.__mul__
+
+    def counted(a, b):
+        count[0] += 1
+        return product(a, b)
+
+    monkeypatch.setattr(CrossedElement, "__mul__", counted)
+    return count
+
+
+def test_exact_castle_maps_cost_n_cubed_products(crossed_products):
+    """On an exact castle map only the n^3 products phi(e_ij) phi(e_jl)
+    are formed; building and decomposing the map form none."""
+    rng = random.Random(55)
+    done = 0
+    while done < 25:
+        sys = random_free_system(rng, max_points=8)
+        n = rng.randint(1, min(3, sys.group.order))
+        data = random_castle_data(rng, sys, n)
+        if data is None:
+            continue
+        done += 1
+        phi = build_castle_ozm(data)
+        recovered = decompose_ozm(phi)
+        assert crossed_products[0] == 0
+        assert verify_order_zero(phi)
+        assert crossed_products[0] == n ** 3
+        assert build_castle_ozm(recovered) == phi
+        assert crossed_products[0] == n ** 3
+        crossed_products[0] = 0

@@ -239,6 +239,34 @@ def test_point_product_matches_crossed_products(fixed_point_system):
                     outcome(by_products, b, c, x, diagonal_allowed)
 
 
+def test_predicates_visit_only_points_that_carry_a_coefficient(monkeypatch, z4):
+    """is_r_normalizer tests each point where a coefficient stores a value
+    once, in ascending order; a row pair of a matrix is tested at the
+    points where both entries store one."""
+    import dynalg.normalizers as normalizers
+
+    visited = []
+    test = normalizers._point_product_vanishes
+
+    def recorded(b, c, x, diagonal_allowed):
+        visited.append((x, diagonal_allowed))
+        return test(b, c, x, diagonal_allowed)
+
+    monkeypatch.setattr(normalizers, "_point_product_vanishes", recorded)
+    rng = random.Random(28)
+    for _ in range(40):
+        a = random_disjoint_support_element(rng, random_free_system(rng, max_points=8))
+        visited.clear()
+        assert is_r_normalizer(a)
+        assert visited == [(x, True) for x in sorted({x for c in a.coeffs for x in c.sparse})]
+
+    left = CrossedElement.monomial(chi(z4, {0, 2}), 1)
+    right = CrossedElement.monomial(chi(z4, {2, 3}), 3)
+    visited.clear()
+    assert not matrix_is_r_normalizer(MatrixElement(z4, [[left, right], [left, right]]))
+    assert [x for x, diagonal_allowed in visited if not diagonal_allowed] == [2]
+
+
 def test_matrix_entrywise_matches_indicator_oracle(fixed_point_system):
     rng = random.Random(26)
     seen = set()
