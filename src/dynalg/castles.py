@@ -59,6 +59,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -297,7 +298,8 @@ class OrderZeroMap:
 
     Every image of e_ij, 0 <= i, j < n, must be given, over ``system``
     itself; a missing image or a negative n raises PreconditionFailed,
-    and an image over another system raises SystemMismatch.
+    and an image over another system raises SystemMismatch.  ``images``
+    is read-only, so no image can be swapped after these checks.
     """
 
     def __init__(self, system: DynSystem, n: int, images: dict):
@@ -305,15 +307,14 @@ class OrderZeroMap:
             raise PreconditionFailed("map size must be >= 0, got %d" % n)
         self.system = system
         self.n = n
-        self.images = {}
-        for i in range(n):
-            for j in range(n):
-                if (i, j) not in images:
-                    raise PreconditionFailed("no image for e_(%d, %d)" % (i, j))
-                image = images[(i, j)]
-                if image.system is not system:
-                    raise SystemMismatch("image of e_(%d, %d) over a different system" % (i, j))
-                self.images[(i, j)] = image
+        checked = {}
+        for key in itertools.product(range(n), repeat=2):
+            if key not in images:
+                raise PreconditionFailed("no image for e_(%d, %d)" % key)
+            if images[key].system is not system:
+                raise SystemMismatch("image of e_(%d, %d) over a different system" % key)
+            checked[key] = images[key]
+        self.images = MappingProxyType(checked)
 
     @classmethod
     def zero(cls, system: DynSystem, n: int) -> "OrderZeroMap":
@@ -349,20 +350,22 @@ def _assemble(data: CastleOzmData) -> OrderZeroMap:
     """The map of already validated castle data, without verification.
 
     Each image is built once from its coefficient list: tower t adds
-    psi . alpha_{s_i^{-1}} to the coefficient of u_{s_i s_j^{-1}}.
+    psi . alpha_{s_i^{-1}} to the coefficient of u_{s_i s_j^{-1}}.  Each
+    tower's conjugated phases are formed once per call.
     """
     sys = data.castle.system
     grp = sys.group
     n = data.n
     zero = Func.zero(sys)
+    conj_rows = [tuple(th.conj() for th in th_row) for th_row in data.phases]
     images = {}
     for i in range(n):
         for j in range(n):
             coeffs = [zero] * grp.order
-            for (base, shape), f, th_row in zip(
-                data.castle.towers, data.weights, data.phases
+            for (base, shape), f, th_row, conj_row in zip(
+                data.castle.towers, data.weights, data.phases, conj_rows
             ):
-                psi = th_row[i] * th_row[j].conj() * f
+                psi = th_row[i] * conj_row[j] * f
                 if psi.is_zero:
                     continue
                 si, sj = shape[i], shape[j]

@@ -356,24 +356,6 @@ def table_unperforation_check(order, add, max_n: int):
     return True, None
 
 
-class TableSemigroup:
-    """A type semigroup given by hand-written order and addition tables.
-
-    It has what ``almost_unperforation_check`` reads of a
-    ``TypeSemigroup``.  Count-vector tables are never perforated, so
-    tables like these are the only way to reach the violation path.
-    """
-
-    def __init__(self, max_n: int, order, add):
-        self.max_n = max_n
-        self.n_classes = len(order)
-        self._order = np.array(order, dtype=bool)
-        self._add = dict(add)
-
-    def add_classes(self, i: int, j: int):
-        return self._add[(i, j)]
-
-
 def standard_free_systems(max_points: int = 8, max_group: int = 4):
     """The named free systems used across the suite."""
     out = []

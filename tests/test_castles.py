@@ -923,6 +923,14 @@ def test_order_zero_map_rejects_a_negative_size(z2):
     assert OrderZeroMap(z2, 0, {}).images == {}
 
 
+def test_order_zero_map_images_are_read_only(z2, z3):
+    # the checks of __init__ cannot be bypassed by swapping an image later
+    phi = identity_embedding(z2)
+    with pytest.raises(TypeError):
+        phi.images[(1, 1)] = CrossedElement.unit(z3)
+    assert phi.images[(1, 1)].system is z2
+
+
 # -- order zero decided by supports ----------------------------------------------
 
 

@@ -40,13 +40,13 @@ from _support import (
     brute_force_subequivalence,
     enumerated_semigroup_reps,
     fraction_comparison_check,
+    permute_points,
     quotient_system,
     random_diag_tuple,
     random_free_system,
     random_subsets,
     standard_free_systems,
     table_unperforation_check,
-    TableSemigroup,
 )
 
 
@@ -497,39 +497,39 @@ def test_unperforation_translation_systems(z2, z3):
 
 
 def test_unperforation_synthetic_violation():
-    # a fake two-class table where 2x <= y but x is not below y
-    fake = TableSemigroup(
-        max_n=2,
-        order=((True, False), (False, True)),
-        add={(0, 0): 1, (0, 1): None, (1, 0): None, (1, 1): None},
-    )
-    ok, violation = almost_unperforation_check(fake)
-    assert not ok and violation == (0, 1, 1)
+    # a two-class table where 2x <= y but x is not below y: count-vector
+    # tables never look like this, so only the oracle can be shown one
+    order = ((True, False), (False, True))
+    add = {(0, 0): 1, (0, 1): None, (1, 0): None, (1, 1): None}
+    assert table_unperforation_check(order, add, 2) == (False, (0, 1, 1))
 
 
 def test_unperforation_matches_table_oracle(z2, z3, double_swap, fixed_point_system):
-    for sys in (z2, z3, double_swap, fixed_point_system, quotient_system()):
-        W = type_semigroup(sys, max_n=3)
-        assert almost_unperforation_check(W) == table_unperforation_check(
-            W.order, W.add, W.max_n
-        )
-    # random explicit tables, where violations do occur
-    rng = random.Random(37)
-    outcomes = set()
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        max_n = rng.randint(1, 3)
-        order = [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
-        add = {
-            (i, j): None if rng.random() < 0.3 else rng.randrange(n)
-            for i in range(n)
-            for j in range(n)
-        }
-        fake = TableSemigroup(max_n, order, add)
-        expected = table_unperforation_check(order, add, max_n)
-        assert almost_unperforation_check(fake) == expected
-        outcomes.add(expected[0])
-    assert outcomes == {True, False}
+    rng = random.Random(41)
+    systems = standard_free_systems(max_points=6)
+    systems += [z2, z3, double_swap, fixed_point_system, quotient_system()]
+    for _ in range(3):
+        perm = list(range(3))
+        rng.shuffle(perm)
+        systems.append(permute_points(quotient_system(), perm))
+    for sys in systems:
+        for max_n in range(4):
+            W = type_semigroup(sys, max_n)
+            expected = table_unperforation_check(W.order, W.add, W.max_n)
+            assert almost_unperforation_check(W) == expected == (True, None)
+
+
+def test_unperforation_reads_no_table(z3):
+    W = type_semigroup(z3, max_n=3)
+    assert almost_unperforation_check(W) == (True, None)
+    assert "_order" not in vars(W)
+
+
+def test_unperforation_rejects_other_tables(z2):
+    W = type_semigroup(z2, max_n=2)
+    for table in (None, W.order, {"order": W.order, "add": W.add, "max_n": 2}):
+        with pytest.raises(TypeError):
+            almost_unperforation_check(table)
 
 
 # -- Cuntz oracle -------------------------------------------------------------------
