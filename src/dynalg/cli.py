@@ -10,12 +10,13 @@ Every request takes one path, through ``main``:
 
 1. parse the arguments;
 2. check the flag values that need no file: ``--budget``, then
-   ``--max-n`` for ``semigroup`` and ``compare --semigroup``.  The parser
-   decides which flags a command takes: each verb of ``castle`` and
-   ``witness`` has its own, so a flag the verb does not read, or two
-   flags that exclude each other, exit 2 before this step.  Only the
-   commands that parse scalars take ``--exact``/``--float``, and only
-   those that can build a type semigroup take ``--budget``;
+   ``--max-n``.  The parser decides which flags a command takes: each
+   verb of ``castle`` and ``witness`` has its own, so a flag the verb
+   does not read, two flags that exclude each other, or a ``compare``
+   flag that only ``--semigroup`` applies given without it, exit 2
+   before this step.  Only the commands that parse scalars take
+   ``--exact``/``--float``, and only those that can build a type
+   semigroup take ``--budget`` and ``--max-n``;
 3. start the timer;
 4. load, parse and validate the system file;
 5. run the command's handler, which reads its other files and computes;
@@ -417,11 +418,10 @@ def _digest(parts) -> str:
 
 
 def _check_flags(args) -> None:
-    """The checks that read no file: budget, then ``--max-n`` where a
-    semigroup table is built."""
+    """The checks that read no file: budget, then ``--max-n``."""
     if getattr(args, "budget", 0) < 0:
         raise ParseError("--budget must be nonnegative, got %d" % args.budget)
-    if (args.command == "semigroup" or getattr(args, "semigroup", False)) and args.max_n < 0:
+    if getattr(args, "max_n", 0) < 0:
         raise ParseError("--max-n must be nonnegative, got %d" % args.max_n)
 
 
@@ -588,16 +588,19 @@ def cmd_castle(args, sys_obj, payload, rep):
 def cmd_semigroup(args, sys_obj, payload, rep):
     W = type_semigroup(sys_obj, args.max_n, budget=args.budget)
     unperforated, violation = almost_unperforation_check(W)
+    n = W.n_classes
+    addition = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            addition[i][j] = addition[j][i] = W.add_classes(i, j)
     result = {
         "max_n": args.max_n,
         "classes": [
             [sorted(sys_obj.points[x] for x in f.support) for f in cls.entries]
             for cls in W.classes
         ],
-        "order": [[bool(v) for v in row] for row in W.order],
-        "addition": [
-            [W.add[(i, j)] for j in range(W.n_classes)] for i in range(W.n_classes)
-        ],
+        "order": [[W.le(i, j) for j in range(n)] for i in range(n)],
+        "addition": addition,
         "almost_unperforated_within_bound": unperforated,
         "violation": list(violation) if violation else None,
     }
@@ -608,8 +611,34 @@ def cmd_semigroup(args, sys_obj, payload, rep):
 # -- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """``ArgumentParser`` that also refuses, like two flags that exclude
+    each other, a flag that only ``--semigroup`` applies when it is given
+    without ``--semigroup``."""
+
+    semigroup_only: dict = {}  # dest -> default, applied with --semigroup
+
+    def refuse_without_semigroup(self, *dests):
+        """Parse ``dests`` with default None, so a value means the flag
+        was given; their defaults are kept for runs with ``--semigroup``."""
+        self.semigroup_only = {dest: self.get_default(dest) for dest in dests}
+        self.set_defaults(**dict.fromkeys(dests))
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for dest, default in self.semigroup_only.items():
+            if getattr(namespace, dest) is None:
+                setattr(namespace, dest, default)
+            elif not namespace.semigroup:
+                self.error(
+                    "argument --%s: not allowed without argument --semigroup"
+                    % dest.replace("_", "-")
+                )
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dynalg",
         description="Exact crossed-product and dynamical-comparison computations",
     )
@@ -651,6 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="include the rank oracle verdict")
     p.add_argument("--semigroup", action="store_true", help="include semigroup class data")
     p.add_argument("--max-n", type=int, default=2)
+    p.refuse_without_semigroup("max_n", "budget")
 
     verbs = sub.add_parser("witness", help="compile, extract, or round-trip certificates")
     verbs = verbs.add_subparsers(dest="verb", required=True)

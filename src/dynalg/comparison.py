@@ -26,9 +26,10 @@ integer weights by the lcm of its denominators and decides each subset
 pair on integer (measure vector, count vector) keys, by the same
 count-fit rule as ``search_subequivalence``.  ``type_semigroup`` encodes
 a count vector as one mixed-radix integer, so a candidate tuple's class
-key is the plain sum of its entries' codes.  ``TypeSemigroup.order``
-reads one boolean class-order matrix.  ``almost_unperforation_check``
-reads no table: it returns the closed form its docstring proves.
+key is the plain sum of its entries' codes.  ``TypeSemigroup.le``
+compares two count vectors and ``add_classes`` sums them; no table of
+all classes is stored.  ``almost_unperforation_check`` reads no table:
+it returns the closed form its docstring proves.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import add, le, lt
-from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import (
     CrossedElement,
@@ -60,8 +60,6 @@ from .errors import (
     ResourceBound,
     SystemMismatch,
 )
-
-import numpy as np
 
 __all__ = [
     "Witness",
@@ -298,9 +296,10 @@ class TypeSemigroup:
     summed over the entries), so the order is componentwise comparison of
     those vectors and addition sums them.  An instance stores, per class,
     its lexicographically least representative as a tuple of nonempty
-    supports and its count vector, which keys the class index.  The rest
-    is derived on first read: ``classes`` (the representatives as
-    ``DiagTuple``s), the class-order matrix, ``order`` and ``add``.
+    supports and its count vector, which keys the class index.  ``le``
+    and ``add_classes`` answer from two vectors, in O(orbits);
+    ``classes`` (the representatives as ``DiagTuple``s) is built on
+    first read.
     """
 
     def __init__(self, system: DynSystem, max_n: int, support_reps: Sequence[tuple]):
@@ -326,21 +325,9 @@ class TypeSemigroup:
         indicator = {s: Func.indicator(self.system, s) for s in set().union(*reps)}
         return tuple(DiagTuple(self.system, [indicator[s] for s in rep]) for rep in reps)
 
-    @cached_property
-    def _order(self) -> np.ndarray:
-        """The boolean class-order matrix: [i, j] is whether i lies below j.
-
-        The vectors are compared one orbit coordinate at a time, so the
-        largest temporary is n_classes x n_classes.
-        """
-        below = np.ones((self.n_classes, self.n_classes), dtype=bool)
-        for col in np.array(self._vectors).T:
-            below &= col[:, None] <= col[None, :]
-        return below
-
     def le(self, i: int, j: int) -> bool:
         """Class i below class j in the induced order."""
-        return bool(self._order[i, j])
+        return _counts_fit(self._vectors[i], self._vectors[j])
 
     def _lookup(self, length: int, vector: tuple[int, ...]) -> Optional[int]:
         if not length:
@@ -356,23 +343,6 @@ class TypeSemigroup:
             tuple(map(add, self._vectors[i], self._vectors[j])),
         )
 
-    def multiple(self, i: int, m: int) -> Optional[int]:
-        """Class of m copies of class i, or None when it leaves the table.
-
-        The copies are added one at a time with ``add_classes``.  A
-        negative m raises PreconditionFailed.
-        """
-        if m < 0:
-            raise PreconditionFailed("multiplicity must be nonnegative, got %d" % m)
-        if m == 0:
-            return self.zero_class
-        acc = i
-        for _ in range(m - 1):
-            acc = self.add_classes(acc, i)
-            if acc is None:
-                return None
-        return acc
-
     def class_of_supports(self, supports) -> Optional[int]:
         """Locate the class of a tuple of supports; None if out of table.
 
@@ -387,21 +357,6 @@ class TypeSemigroup:
         if a.system is not self.system:
             raise SystemMismatch("tuple over a different system than the table")
         return self.class_of_supports(a.supports())
-
-    @cached_property
-    def order(self) -> tuple:
-        """The full order table."""
-        return tuple(map(tuple, self._order.tolist()))
-
-    @cached_property
-    def add(self) -> Mapping[tuple[int, int], Optional[int]]:
-        """The full addition table, read-only, so it cannot drift from
-        ``add_classes``."""
-        table = {}
-        for i in range(self.n_classes):
-            for j in range(i, self.n_classes):
-                table[(i, j)] = table[(j, i)] = self.add_classes(i, j)
-        return MappingProxyType(table)
 
 
 _COUNT_BITS = 14_000  # a count this long still prints (4,300 digits at most)

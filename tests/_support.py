@@ -327,6 +327,16 @@ def enumerated_semigroup_reps(sys: DynSystem, max_n: int) -> list:
     return reps
 
 
+def semigroup_tables(W):
+    """The order and addition tables of a type semigroup, read cell by cell
+    through ``W.le`` and ``W.add_classes``, as ``table_unperforation_check``
+    takes them."""
+    classes = range(W.n_classes)
+    order = tuple(tuple(W.le(i, j) for j in classes) for i in classes)
+    add = {(i, j): W.add_classes(i, j) for i in classes for j in classes}
+    return order, add
+
+
 def table_unperforation_check(order, add, max_n: int):
     """Almost unperforation by walking an order table and an addition table.
 

@@ -460,7 +460,7 @@ def test_semigroup_command(capsys, z2_file):
     # classes: zero, [chi_0] = [chi_1], [chi_{0,1}]
     assert len(report["result"]["classes"]) == 3
     assert report["result"]["almost_unperforated_within_bound"] is True
-    # the addition table, read through the read-only TypeSemigroup.add
+    # the addition table, each cell from TypeSemigroup.add_classes
     assert report["result"]["addition"] == [[0, 1, 2], [1, None, None], [2, None, None]]
 
 
@@ -681,10 +681,22 @@ def test_bad_tolerance_and_budget_rejected(capsys, z2_file):
         "error": "ResourceBound",
         "message": "semigroup enumeration needs 10 candidates, budget is 0",
     }
-    code, out, _ = run_cli(
-        capsys, ["compare", "--system", z2_file, "--a", "chi:0", "--b", "chi:1", "--budget", "0"]
-    )
-    assert code == 0 and json.loads(out)["params"]["tolerance"] == 1e-9
+    # compare applies --budget and --max-n with --semigroup only
+    compare = ["compare", "--system", z2_file, "--a", "chi:0", "--b", "chi:1"]
+    code, out, err = run_cli(capsys, compare + ["--semigroup", "--budget", "0"])
+    assert code == 1 and out == ""
+    assert json.loads(err)["message"] == "semigroup enumeration needs 10 candidates, budget is 0"
+    code, out, _ = run_cli(capsys, compare + ["--semigroup"])
+    assert code == 0 and json.loads(out)["result"]["semigroup"]["classes"] == 5
+    for flag, value in (("--budget", "0"), ("--max-n", "1"), ("--budget", "-1")):
+        # refused before any file is read, the system file too
+        argv = ["compare", "--system", "/nonexistent.json", "--a", "chi:0", "--b", "chi:1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: dynalg compare")
+        assert "argument %s: not allowed without argument --semigroup" % flag in captured.err
     # the tolerance is fixed: --tolerance is no longer an option; --float
     # and --budget only where scalars are parsed or a semigroup is built;
     # castle validate reads no scalars, and castle tzs takes --data or
@@ -805,10 +817,11 @@ def test_error_precedence(capsys, tmp_path, z2_file, z3_file):
     for argv, expected in cases:
         code, out, err = run_cli(capsys, argv)
         assert (code, out, err) == (1, "", _expected_error(*expected)), argv
-    code, out, err = run_cli(
-        capsys, ["compare", "--system", z2_file, "--a", "chi:0", "--b", "chi:1", "--max-n", "-1"]
-    )
-    assert code == 0 and err == "" and json.loads(out)["result"]["subequivalent"] is True
+    # without --semigroup, compare refuses --max-n before checking its value
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--system", z2_file, "--a", "chi:0", "--b", "chi:1", "--max-n", "-1"])
+    assert exc.value.code == 2
+    assert "argument --max-n: not allowed without argument --semigroup" in capsys.readouterr().err
 
 
 def test_each_input_file_read_once(capsys, tmp_path, monkeypatch, z3_file):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,7 @@ from _support import (
     random_diag_tuple,
     random_free_system,
     random_subsets,
+    semigroup_tables,
     standard_free_systems,
     table_unperforation_check,
 )
@@ -298,8 +300,6 @@ def test_negative_multiplicities_rejected(z3):
     with pytest.raises(PreconditionFailed):
         type_semigroup(z3, -1)
     with pytest.raises(PreconditionFailed):
-        type_semigroup(z3, 2).multiple(1, -1)
-    with pytest.raises(PreconditionFailed):
         dynamical_comparison_check(z3, max_pairs=-1)
 
 
@@ -312,8 +312,8 @@ def test_semigroup_trivial_one_point():
     assert W.n_classes == 3  # 0, [chi], [chi + chi]
     order_pairs = {(i, j) for i in range(3) for j in range(3) if W.le(i, j)}
     assert order_pairs == {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}
-    assert W.add[(1, 1)] == 2
-    assert W.add[(1, 2)] is None  # size 3 leaves the table
+    assert W.add_classes(1, 1) == 2
+    assert W.add_classes(1, 2) is None  # size 3 leaves the table
 
 
 def test_semigroup_z2_translates_identified(z2):
@@ -329,7 +329,7 @@ def test_semigroup_addition_matches_union(z3):
     b = DiagTuple.indicators(z3, [{1}])
     ab = DiagTuple.indicators(z3, [{0, 1}])
     ia, ib, iab = W.class_of(a), W.class_of(b), W.class_of(ab)
-    assert W.add[(ia, ib)] == iab
+    assert W.add_classes(ia, ib) == iab
 
 
 def oracle_semigroup(sys, max_n):
@@ -368,8 +368,7 @@ def test_semigroup_matches_oracle_tables(z3, double_swap, fixed_point_system):
         reps, order, add = oracle_semigroup(sys, 2)
         supports = [tuple(s for s in c.supports() if s) for c in W.classes]
         assert supports == reps
-        assert W.order == order
-        assert W.add == add
+        assert semigroup_tables(W) == (order, add)
 
 
 def test_semigroup_reps_match_enumeration(z2, z3, z4, double_swap, fixed_point_system):
@@ -394,8 +393,7 @@ def test_semigroup_builds_representatives_on_first_read(z3, monkeypatch):
     W = type_semigroup(z3, max_n=2)
     almost_unperforation_check(W)
     W.class_of_supports([{0}, {1, 2}])
-    W.multiple(1, 2)
-    W.order, W.add
+    semigroup_tables(W)
     assert built == []
     assert W.classes is W.classes
     assert len(built) == W.n_classes
@@ -405,8 +403,10 @@ def test_semigroup_multiple_adds_one_copy_at_a_time(z2):
     # 2[{0}] is represented by ({0, 1},), so a third copy still fits in
     # max_n = 2 although three copies of ({0},) would not
     W = type_semigroup(z2, max_n=2)
-    assert W.multiple(1, 2) == 2 and W.multiple(1, 3) == 3
-    assert W.multiple(1, 4) is None
+    two = W.add_classes(1, 1)
+    three = W.add_classes(two, 1)
+    assert (two, three) == (2, 3)
+    assert W.add_classes(three, 1) is None
 
 
 def test_class_lookup_rejects_points_out_of_range(z3):
@@ -451,16 +451,6 @@ def test_semigroup_budget_counted_in_closed_form(z2):
     )
 
 
-def test_semigroup_add_table_is_read_only(z2):
-    W = type_semigroup(z2, 2)
-    with pytest.raises(TypeError):
-        W.add[(1, 1)] = 0
-    assert W.add[(1, 1)] == W.add_classes(1, 1) == 2
-    assert dict(W.add) == {
-        (i, j): W.add_classes(i, j) for i in range(W.n_classes) for j in range(W.n_classes)
-    }
-
-
 def test_semigroup_order_compatible_with_addition(z2):
     W = type_semigroup(z2, max_n=2)
     for i in range(W.n_classes):
@@ -468,7 +458,7 @@ def test_semigroup_order_compatible_with_addition(z2):
             if not W.le(i, j):
                 continue
             for k in range(W.n_classes):
-                ik, jk = W.add[(i, k)], W.add[(j, k)]
+                ik, jk = W.add_classes(i, k), W.add_classes(j, k)
                 if ik is not None and jk is not None:
                     assert W.le(ik, jk)
 
@@ -478,13 +468,13 @@ def test_semigroup_addition_commutative_associative(z2):
     n = W.n_classes
     for i in range(n):
         for j in range(n):
-            assert W.add[(i, j)] == W.add[(j, i)]
+            assert W.add_classes(i, j) == W.add_classes(j, i)
             for k in range(n):
-                ij = W.add[(i, j)]
-                jk = W.add[(j, k)]
+                ij = W.add_classes(i, j)
+                jk = W.add_classes(j, k)
                 if ij is not None and jk is not None:
-                    left = W.add[(ij, k)]
-                    right = W.add[(i, jk)]
+                    left = W.add_classes(ij, k)
+                    right = W.add_classes(i, jk)
                     if left is not None and right is not None:
                         assert left == right
 
@@ -515,19 +505,29 @@ def test_unperforation_matches_table_oracle(z2, z3, double_swap, fixed_point_sys
     for sys in systems:
         for max_n in range(4):
             W = type_semigroup(sys, max_n)
-            expected = table_unperforation_check(W.order, W.add, W.max_n)
+            expected = table_unperforation_check(*semigroup_tables(W), W.max_n)
             assert almost_unperforation_check(W) == expected == (True, None)
 
 
-def test_unperforation_reads_no_table(z3):
-    W = type_semigroup(z3, max_n=3)
-    assert almost_unperforation_check(W) == (True, None)
-    assert "_order" not in vars(W)
+def test_unperforation_reads_no_table():
+    # 4,096 classes: a class-order matrix alone would take 16 MiB, but a
+    # comparison reads two count vectors and the check reads none
+    six_fixed_points = DynSystem(FiniteGroup.trivial(), tuple("012345"), (tuple(range(6)),))
+    W = type_semigroup(six_fixed_points, 3)
+    assert W.n_classes == 4096
+    for call in (lambda: W.le(1, 2), lambda: almost_unperforation_check(W)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 def test_unperforation_rejects_other_tables(z2):
-    W = type_semigroup(z2, max_n=2)
-    for table in (None, W.order, {"order": W.order, "add": W.add, "max_n": 2}):
+    order, add = semigroup_tables(type_semigroup(z2, max_n=2))
+    for table in (None, order, {"order": order, "add": add, "max_n": 2}):
         with pytest.raises(TypeError):
             almost_unperforation_check(table)
 

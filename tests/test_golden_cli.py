@@ -19,6 +19,12 @@ r-normalizer, and ``compare --witness --oracle`` exactly and with
 ``--float``.  Every witness command decides whether a matrix is an
 r-normalizer.
 
+The semigroup cases cover ``semigroup`` on the free demo systems at
+several ``--max-n``, on a non-free system (the cyclic group of order 4
+acting through its quotient of order 2 on two points, plus one fixed
+point, ``golden/inputs/z4_through_z2.json``), ``compare --semigroup``,
+and the refusal of an enumeration over ``--budget``.
+
 Reports name no file paths, so the inputs are located from this file.
 """
 
@@ -36,6 +42,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 Z2 = str(ROOT / "demos" / "data" / "z2.json")
 Z3 = str(ROOT / "demos" / "data" / "z3.json")
 Z4 = str(ROOT / "demos" / "data" / "z4.json")
+Z2_DOUBLE = str(ROOT / "demos" / "data" / "z2_double.json")
 DATA = str(ROOT / "demos" / "data" / "data.json")
 
 
@@ -97,6 +104,26 @@ WITNESS_CASES = {
     ),
 }
 
+SEMIGROUP_CASES = {
+    "semigroup_z2_max_n_2": (["semigroup", "--system", Z2, "--max-n", "2"], 0),
+    "semigroup_z3_max_n_3": (["semigroup", "--system", Z3, "--max-n", "3"], 0),
+    "semigroup_z2_double_max_n_2": (["semigroup", "--system", Z2_DOUBLE, "--max-n", "2"], 0),
+    "semigroup_z4_max_n_1": (["semigroup", "--system", Z4, "--max-n", "1"], 0),
+    "semigroup_z4_through_z2_max_n_2": (
+        ["semigroup", "--system", _input("z4_through_z2.json"), "--max-n", "2"],
+        0,
+    ),
+    "compare_semigroup_z3": (
+        ["compare", "--system", Z3, "--a", "chi:0", "--a", "chi:1", "--b", "chi:1,2",
+         "--semigroup", "--max-n", "3"],
+        0,
+    ),
+    "semigroup_budget_error": (
+        ["semigroup", "--system", Z3, "--max-n", "3", "--budget", "5"],
+        1,
+    ),
+}
+
 
 def _check_recording(capsys, case, argv, expected_code):
     code = main(argv)
@@ -119,3 +146,8 @@ def test_castle_report_matches_recording(capsys, case):
 @pytest.mark.parametrize("case", sorted(WITNESS_CASES))
 def test_witness_and_compare_report_matches_recording(capsys, case):
     _check_recording(capsys, case, *WITNESS_CASES[case])
+
+
+@pytest.mark.parametrize("case", sorted(SEMIGROUP_CASES))
+def test_semigroup_report_matches_recording(capsys, case):
+    _check_recording(capsys, case, *SEMIGROUP_CASES[case])

@@ -87,6 +87,8 @@ def test_verb_accepts_exactly_the_flags_of_its_row(capsys, tmp_path, verb, flag)
     argv = verb.split() + ["--system", str(ROOT / "demos" / "data" / "z2.json")]
     if "--a" in FLAG_TABLE[verb]:
         argv += ["--a", "chi:0", "--b", "chi:1"]
+    if flag in ("--max-n", "--budget") and "--semigroup" in FLAG_TABLE[verb]:
+        argv.append("--semigroup")  # compare applies them only with it
     argv.append(flag)
     if flag in FLAG_VALUES:
         argv.append(FLAG_VALUES[flag] or str(tmp_path / "missing.json"))
