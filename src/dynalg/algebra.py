@@ -29,6 +29,14 @@ the positivity test that ``castles.verify_cpc`` and
 phi(1) off the same Choi blocks.  In the library only ``operator_norm``,
 the norm that reports print, builds a dense matrix.
 
+These float routines are the only users of numpy in the library, and
+each imports it when it runs: the float blocks and the dense
+representation, the positivity and contractivity tests, ``operator_norm``
+and the float rank of an :class:`OrbitBlock`.  Importing dynalg or
+deciding anything exactly therefore never loads numpy.  They look up
+``np.linalg.<routine>`` at each call, so a wrapper installed on
+``numpy.linalg`` sees every solve.
+
 Storage is sparse.  A :class:`Func` keeps a dict from point to value that
 omits exactly the points whose value is an exact zero, so sums, products,
 translates, comparisons and supports cost the number of nonzero points,
@@ -46,8 +54,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
-
-import numpy as np
 
 from .dynsys import DynSystem
 from .errors import NotFree, NotPositive, RadicalAdditionMismatch, SystemMismatch
@@ -617,6 +623,8 @@ def _block_entries(sys: DynSystem, rows, x: int):
 
 def _point_block(sys: DynSystem, rows, x: int) -> np.ndarray:
     """The block over x as a complex matrix; zero values stay 0."""
+    import numpy as np
+
     size = len(rows) * sys.group.order
     out = np.zeros((size, size), dtype=complex)
     for r, c, v in _block_entries(sys, rows, x):
@@ -632,6 +640,8 @@ def _orbit_point_blocks(sys: DynSystem, rows) -> np.ndarray:
     ``point_block``), so these decide every unitarily invariant question
     about the representation: positivity and norms.
     """
+    import numpy as np
+
     size = len(rows) * sys.group.order
     out = np.zeros((len(sys.orbit_partition), size, size), dtype=complex)
     for k, orbit in enumerate(sys.orbit_partition):
@@ -646,6 +656,8 @@ def _positivity_failure(blocks: np.ndarray) -> Optional[str]:
     Every block is first tested hermitian within the absolute FLOAT_TOL
     (``rtol=0``); then no eigenvalue may lie below -FLOAT_TOL.
     """
+    import numpy as np
+
     if not all(np.allclose(b, b.conj().T, rtol=0, atol=FLOAT_TOL) for b in blocks):
         return "element is not self-adjoint within tolerance"
     if any(b.size and np.linalg.eigvalsh(b).min() < -FLOAT_TOL for b in blocks):
@@ -653,8 +665,17 @@ def _positivity_failure(blocks: np.ndarray) -> Optional[str]:
     return None
 
 
+def _contractive(blocks: np.ndarray) -> bool:
+    """Whether every matrix of the stack has 2-norm at most 1 + FLOAT_TOL."""
+    import numpy as np
+
+    return bool(np.all(np.linalg.norm(blocks, 2, axis=(1, 2)) <= 1 + FLOAT_TOL))
+
+
 def _rep(sys: DynSystem, rows) -> np.ndarray:
     """The direct sum of the point blocks; slot s over x has index s |X| + x."""
+    import numpy as np
+
     nx = sys.n_points
     dim = len(rows) * sys.group.order * nx
     out = np.zeros((dim, dim), dtype=complex)
@@ -696,6 +717,8 @@ def operator_norm(a) -> float:
     """
     if a.is_zero:
         return 0.0
+    import numpy as np
+
     return float(np.linalg.norm(a.rep_matrix(), 2))
 
 
@@ -712,6 +735,8 @@ class OrbitBlock:
     entries: tuple[tuple[Scalar, ...], ...]
 
     def to_complex(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[complex(v) for v in row] for row in self.entries], dtype=complex)
 
     @property
@@ -723,6 +748,8 @@ class OrbitBlock:
     def rank(self) -> int:
         if self.all_rational:
             return _exact_rank(self.entries)
+        import numpy as np
+
         sv = np.linalg.svd(self.to_complex(), compute_uv=False)
         return int(np.sum(sv > FLOAT_TOL))
 

@@ -62,12 +62,11 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .algebra import (
     CrossedElement,
     DiagTuple,
     Func,
+    _contractive,
     _orbit_point_blocks,
     _positivity_failure,
     _stored_points,
@@ -90,7 +89,7 @@ from .errors import (
     SystemMismatch,
 )
 from .normalizers import check_normalizer_preserving
-from .scalars import FLOAT_TOL, RadScalar
+from .scalars import RadScalar
 
 __all__ = [
     "Castle",
@@ -577,7 +576,7 @@ def verify_cpc(phi: OrderZeroMap) -> bool:
         return False
     ng = phi.system.group.order
     units = blocks.reshape(len(blocks), n, ng, n, ng).diagonal(axis1=1, axis2=3).sum(axis=-1)
-    return bool(np.all(np.linalg.norm(units, 2, axis=(1, 2)) <= 1 + FLOAT_TOL))
+    return _contractive(units)
 
 
 def _adjoint_symmetric(phi: OrderZeroMap) -> bool:

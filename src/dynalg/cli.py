@@ -33,7 +33,10 @@ place of its path), and flags that give data, such as ``--epsilon``,
 ``certificates``; ``margins``, the float margins of a stability check;
 and ``runtime_s``, the seconds from step 3 to step 6.  An error at any
 step prints one ``{"error", "message"}`` object on standard error and
-exits 1, with nothing on standard output.
+exits 1, with nothing on standard output.  A reader that closes standard
+output before the report is written (``dynalg ... | head -c 10``) is
+such an error too: a ``ParseError`` on standard error while that is
+still open, exit 1 and no traceback; the reader keeps the bytes it took.
 
 File formats
 ------------
@@ -67,6 +70,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import re
 import sys as _sys
 import time
@@ -179,6 +183,8 @@ def _load_json(path: str):
         raise ParseError("%s is not UTF-8 text: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise ParseError("bad JSON in %s at line %d: %s" % (path, exc.lineno, exc.msg))
+    except RecursionError:
+        raise ParseError("bad JSON in %s: arrays or objects nested too deeply" % path)
 
 
 def parse_system(payload) -> DynSystem:
@@ -751,14 +757,28 @@ def main(argv=None) -> int:
                 Path(args.json_out).write_text(text + "\n")
             except OSError as exc:
                 raise ParseError("cannot write %s: %s" % (args.json_out, exc))
-        print(text)
+        if not _emit(_sys.stdout, text):
+            raise ParseError("cannot write the report: standard output is closed")
         return 0
     except DynalgError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=_sys.stderr,
-        )
+        _emit(_sys.stderr, json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1
+
+
+def _emit(stream, text: str) -> bool:
+    """Print text on stream and flush it.  When the reader has closed the
+    stream, point it at ``os.devnull``, so that no later flush (nor the
+    interpreter's last one) fails, and return False."""
+    try:
+        print(text, file=stream, flush=True)
+        return True
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, stream.fileno())
+        finally:
+            os.close(devnull)
+        return False
 
 
 if __name__ == "__main__":  # pragma: no cover

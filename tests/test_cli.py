@@ -622,6 +622,23 @@ def test_console_entry_point(z3_file):
     assert json.loads(proc.stdout)["result"]["free"] is True
 
 
+def test_closed_stdout_exits_one_without_a_traceback():
+    # the 77 KB report overfills the pipe, so the write after the reader
+    # closes it fails whatever the timing (``... | head -c 10``)
+    system = Path(__file__).resolve().parent.parent / "demos" / "data" / "z2_double.json"
+    with subprocess.Popen(
+        [sys.executable, "-m", "dynalg.cli", "semigroup", "--system", str(system), "--max-n", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    obj = _single_error(err)
+    assert obj["error"] == "ParseError" and "standard output" in obj["message"]
+
+
 def test_semigroup_max_n_zero(capsys, z2_file):
     code, out, _ = run_cli(capsys, ["semigroup", "--system", z2_file, "--max-n", "0"])
     assert code == 0

@@ -200,3 +200,24 @@ def test_reproductions_give_a_typed_error(tmp, command, target, payload, error):
         files[target] = payload
     code, err = _run(tmp, command, system, files)
     assert code == 1 and json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [("system-check", "system")]
+    + [(command, name) for command in sorted(COMMANDS) for name in sorted(COMMANDS[command][1])],
+)
+def test_deep_nesting_gives_a_parse_error(tmp, command, target):
+    # json.loads gives up on 100,000 open brackets with a RecursionError
+    argv_template, files = COMMANDS[command]
+    paths = {}
+    for name, payload in dict(files, system=_load("z2.json")).items():
+        path = tmp / ("deep-%s-%s.json" % (command, name))
+        path.write_text("[" * 100_000 if name == target else json.dumps(payload))
+        paths[name] = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.format(**paths) for arg in argv_template])
+    error = json.loads(err.getvalue())
+    assert code == 1 and out.getvalue() == ""
+    assert error["error"] == "ParseError" and paths[target] in error["message"]

@@ -5,7 +5,9 @@ root of the checkout, on the files in ``demos/data/`` and
 ``tests/golden/inputs/``.  A run that exits 0 prints one report on
 standard output; any other run prints nothing there and one
 ``{"error", "message"}`` line on standard error.  The predicate of a
-case reads that report or that error object.
+case reads that report or that error object.  The cases after the table
+close standard output early, nest a file too deeply, and check that an
+exact verb imports no numpy.
 
 The module is skipped when no ``dynalg`` script is on ``PATH``.  The
 ``package`` CI job installs the package, so the script there imports
@@ -13,6 +15,7 @@ the installed ``dynalg``, not ``src/``.
 """
 
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -123,3 +126,39 @@ def test_semigroup_size_enters_the_digest():
         digests.add(report["inputs"]["digest"])
     assert len(digests) == 2
 
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # the 77 KB report overfills the pipe, so the write after the reader
+    # closes it fails whatever the timing (``dynalg ... | head -c 10``)
+    with subprocess.Popen(
+        [DYNALG, "semigroup", "--system", "demos/data/z2_double.json", "--max-n", "3"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        lines = proc.stderr.read().splitlines()
+        assert proc.wait(timeout=TIMEOUT_S) == 1
+    assert len(lines) == 1, lines
+    assert error("ParseError")(json.loads(lines[0]))
+
+
+def test_deep_nesting_gives_a_parse_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, obj = run(["system-check", "--system", str(deep)])
+    assert code == 1 and error("ParseError")(obj) and str(deep) in obj["message"], obj
+
+
+def test_exact_verb_imports_no_numpy():
+    proc = subprocess.run(
+        [DYNALG, "semigroup", "--system", Z2, "--max-n", "2"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPROFILEIMPORTTIME="1"),
+        capture_output=True, text=True, timeout=TIMEOUT_S,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [
+        line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "dynalg.cli" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
