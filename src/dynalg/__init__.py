@@ -55,7 +55,6 @@ from .algebra import (
     operator_norm,
     orbit_block_decomposition,
     point_block,
-    regular_rep,
 )
 from .normalizers import (
     OrthogonalSum,

@@ -21,21 +21,21 @@ representation in floating point with absolute tolerance ``1e-9``:
 on the basis indexed by pairs (h in G, x in X).  pi never moves a point,
 so it is the direct sum of one block per point.  One private builder,
 ``_block_entries``, evaluates this rule for an n x n matrix of elements;
-the float matrices, the exact orbit blocks and the float blocks at each
+``point_block``, the exact orbit blocks and the float blocks at each
 orbit's least point (``_orbit_point_blocks``) all read their entries
-from it.  The per-orbit float blocks are built once per call and feed
-the positivity test that ``castles.verify_cpc`` and
-``comparison.cuntz_oracle`` share; ``verify_cpc`` also reads the norm of
-phi(1) off the same Choi blocks.  In the library only ``operator_norm``,
-the norm that reports print, builds a dense matrix.
+from it.  The blocks over one orbit are unitarily equivalent, so the
+per-orbit float blocks decide every unitarily invariant question: they
+feed the positivity test that ``castles.verify_cpc`` and
+``comparison.cuntz_oracle`` share, and one largest-norm helper that
+gives ``operator_norm`` and the norm of phi(1) in ``verify_cpc``.  The
+library never builds the dense (n |G| |X|)-square matrix.
 
 These float routines are the only users of numpy in the library, and
-each imports it when it runs: the float blocks and the dense
-representation, the positivity and contractivity tests, ``operator_norm``
-and the float rank of an :class:`OrbitBlock`.  Importing dynalg or
-deciding anything exactly therefore never loads numpy.  They look up
-``np.linalg.<routine>`` at each call, so a wrapper installed on
-``numpy.linalg`` sees every solve.
+each imports it when it runs: the float blocks, the positivity test,
+the largest norm and the float rank of an :class:`OrbitBlock`.
+Importing dynalg or deciding anything exactly therefore never loads
+numpy.  They look up ``np.linalg.<routine>`` at each call, so a wrapper
+installed on ``numpy.linalg`` sees every solve.
 
 Storage is sparse.  A :class:`Func` keeps a dict from point to value that
 omits exactly the points whose value is an exact zero, so sums, products,
@@ -68,7 +68,6 @@ __all__ = [
     "open_support",
     "cond_expectation",
     "point_block",
-    "regular_rep",
     "orbit_block_decomposition",
     "operator_norm",
 ]
@@ -415,9 +414,6 @@ class CrossedElement:
 
     __hash__ = None
 
-    def rep_matrix(self) -> np.ndarray:
-        return regular_rep(self)
-
     def __repr__(self):
         if self.is_zero:
             return "CrossedElement(0)"
@@ -541,10 +537,6 @@ class MatrixElement:
 
     __hash__ = None
 
-    def rep_matrix(self) -> np.ndarray:
-        """delta_{(h, x)} in copy i has index i |G| |X| + h |X| + x."""
-        return _rep(self.system, self.entries)
-
     def __repr__(self):
         return "MatrixElement(n=%d over %r)" % (self.n, self.system)
 
@@ -665,23 +657,13 @@ def _positivity_failure(blocks: np.ndarray) -> Optional[str]:
     return None
 
 
-def _contractive(blocks: np.ndarray) -> bool:
-    """Whether every matrix of the stack has 2-norm at most 1 + FLOAT_TOL."""
+def _largest_norm(blocks: np.ndarray) -> float:
+    """The largest 2-norm over a stack of matrices; 0.0 for an empty stack."""
+    if not blocks.size:
+        return 0.0
     import numpy as np
 
-    return bool(np.all(np.linalg.norm(blocks, 2, axis=(1, 2)) <= 1 + FLOAT_TOL))
-
-
-def _rep(sys: DynSystem, rows) -> np.ndarray:
-    """The direct sum of the point blocks; slot s over x has index s |X| + x."""
-    import numpy as np
-
-    nx = sys.n_points
-    dim = len(rows) * sys.group.order * nx
-    out = np.zeros((dim, dim), dtype=complex)
-    for x in range(nx):
-        out[x::nx, x::nx] = _point_block(sys, rows, x)
-    return out
+    return float(np.linalg.norm(blocks, 2, axis=(1, 2)).max())
 
 
 def point_block(a: CrossedElement, x: int) -> np.ndarray:
@@ -695,31 +677,21 @@ def point_block(a: CrossedElement, x: int) -> np.ndarray:
     return _point_block(a.system, ((a,),), x)
 
 
-def regular_rep(a: CrossedElement) -> np.ndarray:
-    """Faithful representation on the basis delta_{(h, x)}, as a float matrix.
-
-    pi(f u_g) delta_{(h, x)} = f((g h).x) delta_{(g h, x)}; the map is
-    multiplicative and *-preserving, and injective for valid systems.  The
-    basis vector delta_{(h, x)} has index h |X| + x, and the matrix is the
-    direct sum of the point blocks.
-    """
-    return _rep(a.system, ((a,),))
-
-
 def operator_norm(a) -> float:
-    """Largest singular value of the representation, by a dense SVD.
+    """The norm of a crossed or matrix element in the representation.
 
-    This is the reference norm that reports print (``unit_image_norm``,
-    the tzs margins, the witness residuals), kept dense so that printed
-    values stay byte-identical.  No verifier decides through it:
-    ``castles.verify_cpc`` bounds ||phi(1)|| on its per-orbit Choi
-    blocks.  An exact zero element is 0.0 without a float computation.
+    The representation is the direct sum of the point blocks, and the
+    blocks over one orbit are unitarily equivalent for every action (see
+    ``point_block``), so the norm is the largest singular value of the
+    blocks at the orbits' least points: |G|-square for an element,
+    n|G|-square for an n x n matrix.  Reports print it (``unit_image_norm``,
+    the tzs margins, the witness residuals).  An exact zero element is 0.0
+    without a float computation.
     """
     if a.is_zero:
         return 0.0
-    import numpy as np
-
-    return float(np.linalg.norm(a.rep_matrix(), 2))
+    rows = a.entries if isinstance(a, MatrixElement) else ((a,),)
+    return _largest_norm(_orbit_point_blocks(a.system, rows))
 
 
 @dataclass(frozen=True)

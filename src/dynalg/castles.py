@@ -66,7 +66,7 @@ from .algebra import (
     CrossedElement,
     DiagTuple,
     Func,
-    _contractive,
+    _largest_norm,
     _orbit_point_blocks,
     _positivity_failure,
     _stored_points,
@@ -89,7 +89,7 @@ from .errors import (
     SystemMismatch,
 )
 from .normalizers import check_normalizer_preserving
-from .scalars import RadScalar
+from .scalars import FLOAT_TOL, RadScalar
 
 __all__ = [
     "Castle",
@@ -576,7 +576,7 @@ def verify_cpc(phi: OrderZeroMap) -> bool:
         return False
     ng = phi.system.group.order
     units = blocks.reshape(len(blocks), n, ng, n, ng).diagonal(axis1=1, axis2=3).sum(axis=-1)
-    return _contractive(units)
+    return _largest_norm(units) <= 1 + FLOAT_TOL
 
 
 def _adjoint_symmetric(phi: OrderZeroMap) -> bool:
@@ -764,6 +764,11 @@ def check_tzs_instance(inst: TzsInstance, phi: OrderZeroMap) -> TzsReport:
     required first so the remainder lies in C(X)); (iii) commutator norms
     against every member of F over all matrix units, with the stated n^2
     linearity factor deciding pass/fail for arbitrary contractions.
+
+    Condition (iii) is the float comparison ``n*n*worst < float(epsilon)``
+    with no tolerance, unlike the other float decisions: an exact tie
+    ||[a, phi(e_ij)]|| = epsilon/n^2 can read as a pass when the computed
+    norm rounds below it.
     """
     sys = phi.system
     cond_i = verify_normalizer_preserving(phi)

@@ -510,6 +510,19 @@ def dense_regular_rep(a: CrossedElement) -> np.ndarray:
     return out
 
 
+def dense_matrix_rep(m: MatrixElement) -> np.ndarray:
+    """The (n |G| |X|)-square representation of a matrix element: block
+    (i, j) is ``dense_regular_rep`` of entry (i, j)."""
+    dim = m.system.group.order * m.system.n_points
+    out = np.zeros((m.n * dim, m.n * dim), dtype=complex)
+    for i in range(m.n):
+        for j in range(m.n):
+            out[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = dense_regular_rep(
+                m.entries[i][j]
+            )
+    return out
+
+
 def dense_verify_cpc(phi, tol: float = 1e-9) -> bool:
     """Complete positivity from the full (n |G| |X|)-square Choi matrix,
     contractivity from the largest singular value of the unit image's
@@ -519,18 +532,35 @@ def dense_verify_cpc(phi, tol: float = 1e-9) -> bool:
         for j in range(i, n):
             if phi.images[(i, j)].adjoint() != phi.images[(j, i)]:
                 return False
-    dim = phi.system.group.order * phi.system.n_points
-    choi = np.zeros((n * dim, n * dim), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            block = dense_regular_rep(phi.images[(i, j)])
-            choi[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = block
+    images = [[phi.images[(i, j)] for j in range(n)] for i in range(n)]
+    choi = dense_matrix_rep(MatrixElement(phi.system, images))
     if not np.allclose(choi, choi.conj().T, rtol=0, atol=tol):
         return False
     eigs = np.linalg.eigvalsh(choi)
     if eigs.size and eigs.min() < -tol:
         return False
     return np.linalg.norm(dense_regular_rep(phi.unit_image()), 2) <= 1 + tol
+
+
+def linalg_size_guard(monkeypatch, limit: int) -> list:
+    """Make ``numpy.linalg.norm``, ``svd`` and ``eigvalsh`` raise on a
+    matrix wider than ``limit``; the returned list collects the width of
+    every matrix they see, so a test can check that they ran at all."""
+    widths = []
+    for name in ("norm", "svd", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def guarded(x, *args, _original=original, _name=name, **kwargs):
+            width = np.shape(x)[-1] if np.ndim(x) >= 2 else 0
+            if width > limit:
+                raise AssertionError(
+                    "numpy.linalg.%s on a matrix of width %d > %d" % (_name, width, limit)
+                )
+            widths.append(width)
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, guarded)
+    return widths
 
 
 def product_order_zero(phi) -> bool:
@@ -591,30 +621,6 @@ def loop_point_block(a: CrossedElement, x: int) -> np.ndarray:
             v = f.get(sys.act[gh][x])
             if v is not None and not v.is_zero:
                 out[gh, h] = complex(v)
-    return out
-
-
-def slice_regular_rep(a: CrossedElement) -> np.ndarray:
-    """The representation assembled from ``loop_point_block``, index h |X| + x."""
-    nx = a.system.n_points
-    dim = a.system.group.order * nx
-    out = np.zeros((dim, dim), dtype=complex)
-    for x in range(nx):
-        out[x::nx, x::nx] = loop_point_block(a, x)
-    return out
-
-
-def slice_rep_matrix(m: MatrixElement) -> np.ndarray:
-    """The representation of a matrix element as n^2 full-size slices, one
-    ``slice_regular_rep`` per nonzero entry."""
-    dim = m.system.group.order * m.system.n_points
-    out = np.zeros((m.n * dim, m.n * dim), dtype=complex)
-    for i in range(m.n):
-        for j in range(m.n):
-            if not m.entries[i][j].is_zero:
-                out[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = slice_regular_rep(
-                    m.entries[i][j]
-                )
     return out
 
 

@@ -21,7 +21,6 @@ from dynalg import (
     operator_norm,
     orbit_block_decomposition,
     point_block,
-    regular_rep,
 )
 
 from _support import (
@@ -363,11 +362,11 @@ def test_support_product_containment():
 
 
 def test_rep_of_unit_is_identity(z3):
-    assert np.allclose(regular_rep(CrossedElement.unit(z3)), np.eye(9))
+    assert np.allclose(dense_regular_rep(CrossedElement.unit(z3)), np.eye(9))
 
 
 def test_rep_of_unitary_is_permutation(z4):
-    mat = regular_rep(CrossedElement.unitary(z4, 1))
+    mat = dense_regular_rep(CrossedElement.unitary(z4, 1))
     assert np.allclose(mat @ mat.conj().T, np.eye(16))
     assert set(np.abs(mat).ravel()) <= {0.0, 1.0}
 
@@ -378,8 +377,9 @@ def test_rep_is_homomorphism():
         sys = random_free_system(rng, max_points=6)
         a = random_element(rng, sys)
         b = random_element(rng, sys)
-        assert np.allclose(regular_rep(a * b), regular_rep(a) @ regular_rep(b), atol=1e-9)
-        assert np.allclose(regular_rep(a.adjoint()), regular_rep(a).conj().T, atol=1e-9)
+        rep_a, rep_b = dense_regular_rep(a), dense_regular_rep(b)
+        assert np.allclose(dense_regular_rep(a * b), rep_a @ rep_b, atol=1e-9)
+        assert np.allclose(dense_regular_rep(a.adjoint()), rep_a.conj().T, atol=1e-9)
 
 
 def test_rep_injective():
@@ -388,19 +388,23 @@ def test_rep_injective():
         sys = random_free_system(rng, max_points=6)
         a = random_element(rng, sys)
         if not a.is_zero:
-            assert np.abs(regular_rep(a)).max() > 1e-12
+            assert np.abs(dense_regular_rep(a)).max() > 1e-12
 
 
 def test_rep_is_sum_of_equivalent_point_blocks(fixed_point_system):
-    """regular_rep equals the entry-by-entry oracle, and for x' = s.x the
-    block at x' is the block at x conjugated by delta_h -> delta_{hs}."""
+    """The entry-by-entry oracle is the direct sum of the point blocks, and
+    for x' = s.x the block at x' is the block at x conjugated by
+    delta_h -> delta_{hs}."""
     rng = random.Random(6)
     systems = [random_free_system(rng, max_points=6) for _ in range(15)]
     systems += [fixed_point_system, quotient_system()] * 3
     for sys in systems:
         grp = sys.group
         a = random_element(rng, sys)
-        assert np.array_equal(regular_rep(a), dense_regular_rep(a))
+        dense = dense_regular_rep(a)
+        nx = sys.n_points
+        for x in range(nx):
+            assert np.array_equal(dense[x::nx, x::nx], point_block(a, x))
         x = rng.randrange(sys.n_points)
         s = rng.randrange(grp.order)
         perm = [grp.mul(h, s) for h in range(grp.order)]
@@ -545,7 +549,7 @@ def test_block_singular_values_match_rep():
     for _ in range(15):
         sys = random_free_system(rng, max_points=6)
         a = random_element(rng, sys)
-        rep_sv = np.linalg.svd(regular_rep(a), compute_uv=False)
+        rep_sv = np.linalg.svd(dense_regular_rep(a), compute_uv=False)
         block_sv = []
         for block, orbit in zip(
             orbit_block_decomposition(a), sys.orbit_partition
@@ -601,7 +605,7 @@ def test_float_scalar_lane(z3):
 
 def test_rep_rank_by_enumeration(z3):
     a = CrossedElement.monomial(chi(z3, {0}), 1)
-    mat = regular_rep(a.adjoint() * a)
+    mat = dense_regular_rep(a.adjoint() * a)
     f = (a.adjoint() * a).cond_expectation()
     expected = sum(
         1

@@ -1,10 +1,11 @@
 """The representation layer against the loop-per-concept oracles.
 
-``point_block``, ``regular_rep``, both ``rep_matrix`` methods, the Choi
-blocks of a matrix element and the exact orbit blocks all read one block
-builder.  Each must agree with its own independent loop in ``_support``:
-float matrices bit for bit (compared as bytes, so the sign of a zero
-counts), exact orbit-block entries in type and ``repr``.
+``point_block``, the Choi blocks of a matrix element (the float blocks
+that ``operator_norm`` and ``verify_cpc`` read, one per orbit) and the
+exact orbit blocks all read one block builder.  Each must agree with its
+own independent loop in ``_support``: float matrices bit for bit
+(compared as bytes, so the sign of a zero counts), exact orbit-block
+entries in type and ``repr``.
 """
 
 import random
@@ -22,9 +23,13 @@ from dynalg import (
     RadScalar,
     orbit_block_decomposition,
     point_block,
-    regular_rep,
 )
-from dynalg.algebra import _orbit_point_blocks, _positivity_failure, matrix_orbit_blocks
+from dynalg.algebra import (
+    _orbit_point_blocks,
+    _point_block,
+    _positivity_failure,
+    matrix_orbit_blocks,
+)
 from dynalg.castles import OrderZeroMap, verify_cpc
 
 from _support import (
@@ -35,8 +40,6 @@ from _support import (
     quotient_system,
     random_free_system,
     slice_choi_block,
-    slice_regular_rep,
-    slice_rep_matrix,
     transporter_matrix_orbit_blocks,
     transporter_orbit_blocks,
 )
@@ -117,15 +120,14 @@ def test_float_matrices_match_the_slice_oracles(pool, fixed_point_system):
             a = random_element(rng, sys, POOLS[pool])
             for x in range(sys.n_points):
                 assert_bit_identical(point_block(a, x), loop_point_block(a, x))
-            assert_bit_identical(regular_rep(a), slice_regular_rep(a))
-            assert_bit_identical(a.rep_matrix(), slice_regular_rep(a))
         for n in (0, 1, 2, 3):
             m = random_matrix(rng, sys, n, POOLS[pool])
-            rep = m.rep_matrix()
-            assert_bit_identical(rep, slice_rep_matrix(m))
-            nx = sys.n_points
-            for x in range(nx):
-                assert_bit_identical(rep[x::nx, x::nx], slice_choi_block(m, x))
+            for x in range(sys.n_points):
+                assert_bit_identical(_point_block(sys, m.entries, x), slice_choi_block(m, x))
+            stack = _orbit_point_blocks(sys, m.entries)
+            assert len(stack) == len(sys.orbit_partition)
+            for block, orbit in zip(stack, sys.orbit_partition):
+                assert_bit_identical(block, slice_choi_block(m, orbit[0]))
 
 
 @pytest.mark.parametrize("pool", sorted(POOLS))
@@ -149,7 +151,8 @@ def test_float_values_that_count_as_zero(z3):
     a = CrossedElement(z3, (mixed, tiny, Func.zero(z3)))
     assert a.nonzero_groups == (0,)
     assert_same_blocks(orbit_block_decomposition(a), transporter_orbit_blocks(a))
-    assert_bit_identical(regular_rep(a), slice_regular_rep(a))
+    for x in range(z3.n_points):
+        assert_bit_identical(point_block(a, x), loop_point_block(a, x))
     (block,) = orbit_block_decomposition(a)
     assert repr(block.entries[0][0]) == repr(FloatScalar(1e-10))
     assert repr(block.entries[2][0]) == repr(RadScalar(0))

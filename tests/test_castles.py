@@ -11,6 +11,7 @@ from dynalg import (
     Castle,
     CastleOzmData,
     CrossedElement,
+    DiagTuple,
     DynalgError,
     DynSystem,
     EmptyShape,
@@ -19,6 +20,7 @@ from dynalg import (
     FloatScalar,
     Func,
     InvalidCastleData,
+    MatrixElement,
     NotFree,
     NotNormalizerPreserving,
     NotOrderZero,
@@ -32,10 +34,13 @@ from dynalg import (
     almost_finiteness_certificate,
     build_castle_ozm,
     check_tzs_instance,
+    cuntz_oracle,
     decompose_ozm,
     identity_embedding,
+    operator_norm,
     orbit_castle,
     product_with_cyclic,
+    prop_equivalence_suite,
     search_tzs_map,
     shape_invariance,
     validate_castle,
@@ -45,16 +50,19 @@ from dynalg import (
 )
 
 from _support import (
+    dense_matrix_rep,
     dense_regular_rep,
     dense_verify_cpc,
+    linalg_size_guard,
     product_order_zero,
     quotient_system,
     random_element,
     random_free_system,
+    random_matrix,
     standard_free_systems,
 )
-import dynalg.algebra
 import dynalg.castles as castles
+from dynalg.algebra import _largest_norm, _orbit_point_blocks
 from dynalg.cli import main, parse_ozm_data, parse_system
 from dynalg.scalars import FLOAT_TOL
 
@@ -390,44 +398,118 @@ def test_verify_cpc_contractivity_matches_dense_norm(fixed_point_system):
     assert verdicts == {True, False}
 
 
-@pytest.fixture
-def no_dense_representation(monkeypatch):
-    """Make every route to a dense (|G||X|)-square matrix raise."""
-
-    def forbidden(*args):
-        raise AssertionError("dense representation built")
-
-    monkeypatch.setattr(dynalg.algebra, "_rep", forbidden)
-    monkeypatch.setattr(dynalg.algebra, "regular_rep", forbidden)
-    monkeypatch.setattr(castles, "operator_norm", forbidden)
+def _assert_norm_matches_dense(x, dense):
+    expected = float(np.linalg.norm(dense, 2)) if dense.size else 0.0
+    got = operator_norm(x)
+    assert abs(got - expected) <= 1e-12 * expected, (got, expected)
 
 
-def test_verify_cpc_builds_no_dense_representation(no_dense_representation):
-    """A castle map over product_with_cyclic(z4 + z4, 6), |G||X| = 1152,
-    with ||phi(1)|| = 1, and the same map times 3/2: verify_cpc decides
-    both from its n|G| Choi blocks, one per orbit."""
+def test_operator_norm_matches_the_dense_norm(fixed_point_system):
+    """operator_norm reads one block per orbit; it equals the 2-norm of the
+    dense (n|G||X|)-square oracle within 1e-12 relative on castle unit
+    images and Choi matrices, Gram elements b* b, and n x n matrices with
+    n = 0..3, over free and non-free systems."""
+    rng = random.Random(54)
+    maps = []
+    while len(maps) < 8:
+        sys = random_free_system(rng, max_points=8)
+        data = random_castle_data(rng, sys, rng.randint(1, min(3, sys.group.order)))
+        if data is not None:
+            maps.append(build_castle_ozm(data))
+    for phi in maps:
+        unit = phi.unit_image()
+        _assert_norm_matches_dense(unit, dense_regular_rep(unit))
+        n = phi.n
+        choi = MatrixElement(
+            phi.system, [[phi.images[(i, j)] for j in range(n)] for i in range(n)]
+        )
+        _assert_norm_matches_dense(choi, dense_matrix_rep(choi))
+    systems = [random_free_system(rng, max_points=6) for _ in range(4)]
+    systems += [fixed_point_system, quotient_system()]
+    for sys in systems:
+        for _ in range(4):
+            b = random_element(rng, sys)
+            gram = b.adjoint() * b
+            _assert_norm_matches_dense(b, dense_regular_rep(b))
+            _assert_norm_matches_dense(gram, dense_regular_rep(gram))
+        for n in (0, 1, 2, 3):
+            m = random_matrix(rng, sys, n)
+            _assert_norm_matches_dense(m, dense_matrix_rep(m))
+            _assert_norm_matches_dense(m.adjoint() * m, dense_matrix_rep(m.adjoint() * m))
+
+
+def test_norms_over_a_system_with_no_points():
+    """No points, no orbits: every element is zero, and an empty stack of
+    Choi blocks reads as contractive."""
+    sys = DynSystem(FiniteGroup.cyclic(2), (), ((), ()))
+    unit = CrossedElement.unit(sys)
+    assert operator_norm(unit) == 0.0
+    assert operator_norm(MatrixElement.zero(sys, 2)) == 0.0
+    assert _largest_norm(_orbit_point_blocks(sys, ((unit,),))) == 0.0
+    assert verify_cpc(OrderZeroMap(sys, 1, {(0, 0): unit}))
+
+
+def _large_castle_map(copies):
+    """A castle map with n = 3 over product_with_cyclic(z4 + z4, copies):
+    one tower per orbit, base the orbit's least point, shape (0, 1, 5)."""
     z4 = DynSystem.translation(FiniteGroup.cyclic(4))
-    sys = product_with_cyclic(DynSystem.disjoint_union(z4, z4), 6)
-    assert sys.group.order * sys.n_points == 1152
+    sys = product_with_cyclic(DynSystem.disjoint_union(z4, z4), copies)
     castle = Castle(sys, tuple((frozenset({orbit[0]}), (0, 1, 5)) for orbit in sys.orbit_partition))
     weights = [Func.from_dict(sys, {orbit[0]: Fraction(1, k + 1)})
                for k, orbit in enumerate(sys.orbit_partition)]
-    phi = build_castle_ozm(CastleOzmData.with_trivial_phases(castle, weights, 3))
+    return build_castle_ozm(CastleOzmData.with_trivial_phases(castle, weights, 3))
+
+
+def test_verify_cpc_builds_no_dense_representation(monkeypatch):
+    """A castle map over product_with_cyclic(z4 + z4, 6), |G||X| = 1152,
+    with ||phi(1)|| = 1, and the same map times 3/2: verify_cpc decides
+    both from its n|G| Choi blocks, one per orbit."""
+    phi = _large_castle_map(6)
+    sys = phi.system
+    assert sys.group.order * sys.n_points == 1152
+    widths = linalg_size_guard(monkeypatch, 3 * sys.group.order)
     assert verify_cpc(phi)
     scaled = {k: v.scaled(Fraction(3, 2)) for k, v in phi.images.items()}
     assert not verify_cpc(OrderZeroMap(sys, 3, scaled))
+    assert widths
 
 
-def test_float_decompose_runs_the_verifiers_without_dense_representation(
-    no_dense_representation, capsys
-):
+def test_float_decompose_runs_the_verifiers_without_dense_representation(monkeypatch, capsys):
     """Float data is verified after assembly, fails extraction and then
-    runs every verifier before its ExactnessError; none builds a dense
-    matrix."""
+    runs every verifier before its ExactnessError; none builds a matrix
+    wider than n|G| = 4."""
+    widths = linalg_size_guard(monkeypatch, 4)
     code = main(["castle", "decompose", "--float", "--system", DEMO_Z2, "--data", DEMO_DATA])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert json.loads(captured.err)["error"] == "ExactnessError"
+    assert widths
+
+
+def test_norm_routes_build_no_dense_representation_at_2048(monkeypatch):
+    """Over product_with_cyclic(z4 + z4, 8), |G||X| = 2048, with castle data
+    of size n = 3: the unit image's norm, the stability instance, the cpc
+    verifier, the rank oracle and the equivalence suite see no matrix
+    wider than n|G| = 96, where the dense representation is 2048 wide."""
+    phi = _large_castle_map(8)
+    sys = phi.system
+    assert sys.group.order * sys.n_points == 2048
+    f = Func.from_dict(sys, {x: Fraction(x % 5, 4) for x in range(sys.n_points)})
+    a = CrossedElement.monomial(f, 1)
+    h = Func.indicator(sys, {sys.orbit_partition[0][1]})
+    widths = linalg_size_guard(monkeypatch, 3 * sys.group.order)
+
+    assert operator_norm(phi.unit_image()) == pytest.approx(1, abs=1e-9)
+    report = check_tzs_instance(TzsInstance(3, Fraction(1, 10), (a,), h), phi)
+    assert len(report.commutator_margins) == 9 and report.max_commutator > 0
+    assert verify_cpc(phi)
+    half = Func(sys, [FloatScalar(0.5)] * sys.n_points)
+    assert cuntz_oracle(CrossedElement.from_func(half), CrossedElement.unit(sys))
+    small = DiagTuple.indicators(sys, [{0}])
+    large = DiagTuple.indicators(sys, [set(sys.orbit_partition[0])])
+    suite = prop_equivalence_suite(small, large)
+    assert suite.consistent
+    assert max(widths) == 3 * sys.group.order
 
 
 # -- decomposition -------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dynalg import (
     Func,
     IndexOutOfRange,
     InvariantMeasure,
-    MatrixElement,
     NotFree,
     NotPositive,
     PreconditionFailed,
@@ -34,13 +33,13 @@ from dynalg import (
     type_semigroup,
 )
 
-import dynalg.algebra
 import dynalg.comparison
 from _support import (
     backtracking_subequivalence,
     brute_force_subequivalence,
     enumerated_semigroup_reps,
     fraction_comparison_check,
+    linalg_size_guard,
     permute_points,
     quotient_system,
     random_diag_tuple,
@@ -581,16 +580,13 @@ def test_oracle_rejects_a_negative_eigenvalue(z3):
 
 
 def test_oracle_builds_no_dense_representation(z3, monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("dense representation built")
-
-    monkeypatch.setattr(dynalg.algebra, "regular_rep", forbidden)
-    monkeypatch.setattr(dynalg.algebra, "_rep", forbidden)
-    monkeypatch.setattr(CrossedElement, "rep_matrix", forbidden)
-    monkeypatch.setattr(MatrixElement, "rep_matrix", forbidden)
+    """The positivity test sees |G|-square blocks, never the 9-square
+    representation."""
+    widths = linalg_size_guard(monkeypatch, z3.group.order)
     a = CrossedElement.from_func(Func.indicator(z3, {0}))
     b = CrossedElement.unit(z3)
     assert cuntz_oracle(a, b) and not cuntz_oracle(b, a)
+    assert widths
 
 
 def test_subequivalence_implies_oracle():
