@@ -19,16 +19,16 @@ representation in floating point with absolute tolerance ``1e-9``:
     pi(f u_g) delta_{(h, x)} = f((g h).x) delta_{(g h, x)}
 
 on the basis indexed by pairs (h in G, x in X).  pi never moves a point,
-so it is the direct sum of one block per point.  One private builder,
-``_block_entries``, evaluates this rule for an n x n matrix of elements;
-``point_block``, the exact orbit blocks and the float blocks at each
-orbit's least point (``_orbit_point_blocks``) all read their entries
-from it.  The blocks over one orbit are unitarily equivalent, so the
-per-orbit float blocks decide every unitarily invariant question: they
-feed the positivity test that ``castles.verify_cpc`` and
-``comparison.cuntz_oracle`` share, and one largest-norm helper that
-gives ``operator_norm`` and the norm of phi(1) in ``verify_cpc``.  The
-library never builds the dense (n |G| |X|)-square matrix.
+so it is the direct sum of one block per point.  ``_block_entries``
+evaluates this rule for an n x n matrix of elements; the exact orbit
+blocks read it, and the one float builder ``_point_blocks`` writes it
+into a stack of blocks (``point_block`` reads a stack of one).  Blocks
+over one orbit are unitarily equivalent, so the stack at the orbits'
+least points decides every unitarily invariant question with one LAPACK
+call: the positivity test of ``castles.verify_cpc`` and
+``comparison.cuntz_oracle`` (one hermitian test, one ``eigvalsh``) and
+the largest norm of ``operator_norm`` and of phi(1) in ``verify_cpc``.
+The library never builds the dense (n |G| |X|)-square matrix.
 
 These float routines are the only users of numpy in the library, and
 each imports it when it runs: the float blocks, the positivity test,
@@ -56,7 +56,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .dynsys import DynSystem
-from .errors import NotFree, NotPositive, RadicalAdditionMismatch, SystemMismatch
+from .errors import IndexOutOfRange, NotFree, NotPositive, RadicalAdditionMismatch, SystemMismatch
 from .scalars import FLOAT_TOL, ONE, ZERO, FloatScalar, RadScalar, as_scalar
 
 __all__ = [
@@ -79,6 +79,13 @@ def _exact_zero(v) -> bool:
     return type(v) is RadScalar and not v.p and not v.q
 
 
+def _check_points(system: DynSystem, points) -> None:
+    """IndexOutOfRange for the least point outside range(n_points)."""
+    bad = [x for x in points if not 0 <= x < system.n_points]
+    if bad:
+        raise IndexOutOfRange("point index %d out of range" % min(bad))
+
+
 class Func:
     """An element of C(X), stored by its nonzero points.
 
@@ -89,6 +96,7 @@ class Func:
     and ``v + 0`` can differ from ``v`` in the sign of a float zero, so
     float results stay bit-identical to a pass over every point.
     ``values`` is the dense tuple, one value per point, built on first use.
+    A point outside range(n_points) raises IndexOutOfRange (the least one).
     """
 
     def __init__(self, system: DynSystem, values: Sequence[Scalar]):
@@ -118,20 +126,14 @@ class Func:
     @classmethod
     def indicator(cls, system: DynSystem, points: Iterable[int]) -> "Func":
         pts = set(points)
+        _check_points(system, pts)
         return cls._of(system, {x: ONE for x in range(system.n_points) if x in pts})
 
     @classmethod
     def from_dict(cls, system: DynSystem, entries: dict) -> "Func":
-        points = range(system.n_points)
-        sparse = {}
-        for x, v in entries.items():
-            x = points[x]  # a negative index counts from the end; past it raises
-            v = as_scalar(v)
-            if _exact_zero(v):
-                sparse.pop(x, None)
-            else:
-                sparse[x] = v
-        return cls._of(system, sparse)
+        _check_points(system, entries)
+        values = {operator.index(x): as_scalar(v) for x, v in entries.items()}
+        return cls._of(system, {x: v for x, v in values.items() if not _exact_zero(v)})
 
     # -- structure -----------------------------------------------------
 
@@ -160,12 +162,9 @@ class Func:
         return all(v.is_nonneg_real for v in self.sparse.values())
 
     def __call__(self, x: int) -> Scalar:
-        v = self.sparse.get(x)
-        if v is not None:
-            return v
-        if 0 <= x < self.system.n_points:
-            return ZERO
-        return self.values[x]  # a negative index counts from the end; past it raises
+        if not 0 <= x < self.system.n_points:
+            raise IndexOutOfRange("point index %d out of range" % x)
+        return self.sparse.get(x, ZERO)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -613,15 +612,17 @@ def _block_entries(sys: DynSystem, rows, x: int):
                         yield i * ng + gh, j * ng + h, v
 
 
-def _point_block(sys: DynSystem, rows, x: int) -> np.ndarray:
-    """The block over x as a complex matrix; zero values stay 0."""
+def _point_blocks(sys: DynSystem, rows, points) -> np.ndarray:
+    """The complex blocks over these points, stacked along axis 0, filled
+    straight from ``_block_entries``; a value that counts as zero stays 0."""
     import numpy as np
 
     size = len(rows) * sys.group.order
-    out = np.zeros((size, size), dtype=complex)
-    for r, c, v in _block_entries(sys, rows, x):
-        if not v.is_zero:
-            out[r, c] = complex(v)
+    out = np.zeros((len(points), size, size), dtype=complex)
+    for k, x in enumerate(points):
+        for r, c, v in _block_entries(sys, rows, x):
+            if not v.is_zero:
+                out[k, r, c] = complex(v)
     return out
 
 
@@ -632,27 +633,23 @@ def _orbit_point_blocks(sys: DynSystem, rows) -> np.ndarray:
     ``point_block``), so these decide every unitarily invariant question
     about the representation: positivity and norms.
     """
-    import numpy as np
-
-    size = len(rows) * sys.group.order
-    out = np.zeros((len(sys.orbit_partition), size, size), dtype=complex)
-    for k, orbit in enumerate(sys.orbit_partition):
-        out[k] = _point_block(sys, rows, orbit[0])
-    return out
+    return _point_blocks(sys, rows, [orbit[0] for orbit in sys.orbit_partition])
 
 
 def _positivity_failure(blocks: np.ndarray) -> Optional[str]:
     """Why the representation with these orbit blocks (from
     ``_orbit_point_blocks``) is not positive, or None when it is.
 
-    Every block is first tested hermitian within the absolute FLOAT_TOL
-    (``rtol=0``); then no eigenvalue may lie below -FLOAT_TOL.
+    One test over the stack asks every block to be hermitian within the
+    absolute FLOAT_TOL (``rtol=0``); then one ``eigvalsh`` over it asks
+    that no block's least eigenvalue lie below -FLOAT_TOL.  An empty stack
+    is positive.
     """
     import numpy as np
 
-    if not all(np.allclose(b, b.conj().T, rtol=0, atol=FLOAT_TOL) for b in blocks):
+    if not np.allclose(blocks, blocks.conj().swapaxes(1, 2), rtol=0, atol=FLOAT_TOL):
         return "element is not self-adjoint within tolerance"
-    if any(b.size and np.linalg.eigvalsh(b).min() < -FLOAT_TOL for b in blocks):
+    if blocks.size and (np.linalg.eigvalsh(blocks).min(axis=1) < -FLOAT_TOL).any():
         return "element has an eigenvalue below -%g" % FLOAT_TOL
     return None
 
@@ -674,7 +671,7 @@ def point_block(a: CrossedElement, x: int) -> np.ndarray:
     x' = s.x the unitary V delta_h = delta_{h s} carries the block at x'
     onto the block at x, so blocks over one orbit are unitarily equivalent.
     """
-    return _point_block(a.system, ((a,),), x)
+    return _point_blocks(a.system, ((a,),), [x])[0]
 
 
 def operator_norm(a) -> float:

@@ -554,9 +554,9 @@ def verify_cpc(phi: OrderZeroMap) -> bool:
     Choi matrix [pi(phi(e_ij))]_ij is the direct sum over x of the point
     blocks of the matrix [phi(e_ij)], of size n|G|; for x' = s.x the
     unitary V delta_h = delta_{h s}, applied in each of the n slots, makes
-    the blocks at x and x' equivalent.  The hermitian and eigenvalue tests
-    therefore run on one n|G| block per orbit, at the orbit's least point,
-    by the test that ``cuntz_oracle`` also runs.
+    the blocks at x and x' equivalent.  One builder fills a stack of one
+    n|G| block per orbit, at its least point; ``cuntz_oracle``'s test
+    decides it: one hermitian test and one ``eigvalsh`` over the stack.
 
     The same blocks decide contractivity.  Entry (i, j) of the block at x
     fills rows i|G| + gh and columns j|G| + h, so its i-th diagonal

@@ -59,9 +59,10 @@ A function on the space is ``[[point_label, scalar], ...]`` (omitted
 points are zero).  A crossed-product element is
 ``{"coeffs": [[group_label, function], ...]}``.  Diagonal-tuple entries
 on the command line are ``chi:lbl1,lbl2`` (an indicator), ``zero``, or
-``@file.json`` holding a function.  Castles are
-``{"towers": [{"base": [...], "shape": [...]}]}``; castle map data adds
-``n``, ``weights``, and optional ``phases``.
+``@file.json`` holding a function; ``chi:`` splits at commas, so a label
+that contains one (``product_with_cyclic`` makes them) needs ``@file``.
+Castles are ``{"towers": [{"base": [...], "shape": [...]}]}``; castle
+map data adds ``n``, ``weights``, and optional ``phases``.
 """
 
 from __future__ import annotations
@@ -257,7 +258,10 @@ def parse_diag_entry(sys_obj: DynSystem, spec: str) -> Func:
         try:
             pts = [sys_obj.point_index(lbl) for lbl in labels]
         except KeyError as exc:
-            raise ParseError("unknown point label %s" % exc)
+            raise ParseError(
+                "unknown point label %s in tuple entry %r; chi: splits its labels at commas, "
+                "so name a label that contains a comma with an @file entry" % (exc, spec)
+            )
         return Func.indicator(sys_obj, pts)
     raise ParseError("bad tuple entry %r (use chi:..., zero, or @file)" % spec)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import (
     CrossedElement,
@@ -242,9 +242,7 @@ def _default_eps_grid(a: DiagTuple) -> list[Fraction]:
     return sorted(grid)
 
 
-def prop_equivalence_suite(
-    a: DiagTuple, b: DiagTuple, eps_grid: Optional[Sequence] = None
-) -> EquivalenceSuiteReport:
+def prop_equivalence_suite(a: DiagTuple, b: DiagTuple) -> EquivalenceSuiteReport:
     """Cross-check the three faces of subequivalence on an eps grid.
 
     (i) the combinatorial preorder, decided by search; (ii) approximate
@@ -256,7 +254,7 @@ def prop_equivalence_suite(
     limit statement; the report notes this.
     """
     holds, _ = diag_subequivalent(a, b)
-    grid = [Fraction(e) for e in eps_grid] if eps_grid is not None else _default_eps_grid(a)
+    grid = _default_eps_grid(a)
     n = max(len(a), len(b))
     results = []
     consistent = True

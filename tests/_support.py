@@ -608,7 +608,7 @@ def product_order_zero(phi) -> bool:
 # -- representation builders, one loop per concept -----------------------------
 
 
-def loop_point_block(a: CrossedElement, x: int) -> np.ndarray:
+def loop_fibre_block(a: CrossedElement, x: int) -> np.ndarray:
     """The |G| x |G| block over x by its own loop: entry (gh, h) is
     a_g(gh.x), values that are zero left at 0."""
     sys = a.system
@@ -630,7 +630,7 @@ def slice_choi_block(m: MatrixElement, x: int) -> np.ndarray:
     out = np.zeros((m.n * ng, m.n * ng), dtype=complex)
     for i in range(m.n):
         for j in range(m.n):
-            out[i * ng : (i + 1) * ng, j * ng : (j + 1) * ng] = loop_point_block(
+            out[i * ng : (i + 1) * ng, j * ng : (j + 1) * ng] = loop_fibre_block(
                 m.entries[i][j], x
             )
     return out

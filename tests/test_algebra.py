@@ -11,6 +11,7 @@ from dynalg import (
     FiniteGroup,
     FloatScalar,
     Func,
+    IndexOutOfRange,
     MatrixElement,
     NotFree,
     NotPositive,
@@ -75,6 +76,26 @@ def test_adjoint_fixed_by_positivity(z3):
     f = aa.as_func()
     assert f.is_positive and not f.is_zero
     assert f == chi(z3, {2})
+
+
+def test_points_out_of_range_raise(z3):
+    """Func names the least point outside range(n_points), as
+    search_subequivalence and check_witness do: a negative index does not
+    count from the end, and no point is dropped."""
+    f = Func.from_dict(z3, {0: RadScalar(1)})
+    cases = [
+        (lambda: Func.indicator(z3, [5]), 5),
+        (lambda: Func.indicator(z3, [4, 0, -2, 7]), -2),
+        (lambda: DiagTuple.indicators(z3, [{1}, {5}]), 5),
+        (lambda: Func.from_dict(z3, {-1: 1}), -1),
+        (lambda: Func.from_dict(z3, {3: 1, 0: 1}), 3),
+        (lambda: f(-1), -1),
+        (lambda: f(3), 3),
+    ]
+    for call, x in cases:
+        with pytest.raises(IndexOutOfRange, match=r"^point index %d out of range$" % x):
+            call()
+    assert f(0) == RadScalar(1) and f(2) == RadScalar(0)
 
 
 def test_system_mismatch_raises(z2, z3):

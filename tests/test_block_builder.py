@@ -26,7 +26,7 @@ from dynalg import (
 )
 from dynalg.algebra import (
     _orbit_point_blocks,
-    _point_block,
+    _point_blocks,
     _positivity_failure,
     matrix_orbit_blocks,
 )
@@ -36,7 +36,7 @@ from _support import (
     COEFF_POOL,
     dense_regular_rep,
     dense_verify_cpc,
-    loop_point_block,
+    loop_fibre_block,
     quotient_system,
     random_free_system,
     slice_choi_block,
@@ -119,11 +119,13 @@ def test_float_matrices_match_the_slice_oracles(pool, fixed_point_system):
         for _ in range(5):
             a = random_element(rng, sys, POOLS[pool])
             for x in range(sys.n_points):
-                assert_bit_identical(point_block(a, x), loop_point_block(a, x))
+                assert_bit_identical(point_block(a, x), loop_fibre_block(a, x))
         for n in (0, 1, 2, 3):
             m = random_matrix(rng, sys, n, POOLS[pool])
-            for x in range(sys.n_points):
-                assert_bit_identical(_point_block(sys, m.entries, x), slice_choi_block(m, x))
+            stack = _point_blocks(sys, m.entries, range(sys.n_points))
+            assert len(stack) == sys.n_points
+            for x, block in enumerate(stack):
+                assert_bit_identical(block, slice_choi_block(m, x))
             stack = _orbit_point_blocks(sys, m.entries)
             assert len(stack) == len(sys.orbit_partition)
             for block, orbit in zip(stack, sys.orbit_partition):
@@ -152,7 +154,7 @@ def test_float_values_that_count_as_zero(z3):
     assert a.nonzero_groups == (0,)
     assert_same_blocks(orbit_block_decomposition(a), transporter_orbit_blocks(a))
     for x in range(z3.n_points):
-        assert_bit_identical(point_block(a, x), loop_point_block(a, x))
+        assert_bit_identical(point_block(a, x), loop_fibre_block(a, x))
     (block,) = orbit_block_decomposition(a)
     assert repr(block.entries[0][0]) == repr(FloatScalar(1e-10))
     assert repr(block.entries[2][0]) == repr(RadScalar(0))
@@ -196,10 +198,16 @@ def dense_positivity_failure(a):
 
 def test_orbit_positivity_decides_like_the_dense_representation(fixed_point_system):
     """One block per orbit gives the dense verdict on a* a - c 1 for random
-    exact a, and on a itself, which is seldom self-adjoint."""
+    exact a, and on a itself, which is seldom self-adjoint.  A shift or a
+    non-self-adjoint term supported only on the last orbit leaves the first
+    block positive, so there the verdict comes from a later block."""
     rng = random.Random(14)
-    seen, raw = set(), set()
+    seen, raw, later = set(), set(), set()
     for sys in systems(rng, fixed_point_system):
+        last = CrossedElement.from_func(Func.indicator(sys, sys.orbit_partition[-1]))
+        i_last = CrossedElement.from_func(
+            Func.from_dict(sys, {x: RadScalar(0, 1) for x in sys.orbit_partition[-1]})
+        )
         for _ in range(8):
             a = random_element(rng, sys, POOLS["exact"])
             gram = a.adjoint() * a
@@ -212,5 +220,17 @@ def test_orbit_positivity_decides_like_the_dense_representation(fixed_point_syst
             failure = _positivity_failure(_orbit_point_blocks(sys, ((a,),)))
             assert failure == dense_positivity_failure(a)
             raw.add(failure)
+            if len(sys.orbit_partition) < 2:
+                continue
+            for e in (gram - last, gram + i_last):
+                blocks = _orbit_point_blocks(sys, ((e,),))
+                assert _positivity_failure(blocks[:1]) is None
+                failure = _positivity_failure(blocks)
+                assert failure == dense_positivity_failure(e)
+                later.add(failure)
     assert seen == {None, "element has an eigenvalue below -1e-09"}
     assert "element is not self-adjoint within tolerance" in raw
+    assert later >= {
+        "element has an eigenvalue below -1e-09",
+        "element is not self-adjoint within tolerance",
+    }

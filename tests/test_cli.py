@@ -198,6 +198,47 @@ def test_compare_semigroup_section(capsys, z3_file):
     assert sg["class_of_a"] == sg["class_of_b"]
 
 
+def test_compare_comma_labels_are_named_by_file(capsys, tmp_path):
+    """chi: splits at commas, so the Klein translation's label (0,1) is an
+    unknown label there, named with the whole entry; an @file entry names it."""
+    from dynalg import DynSystem, FiniteGroup
+
+    klein = DynSystem.translation(FiniteGroup.klein())
+    els = klein.group.elements
+    payload = {
+        "group": {
+            "elements": list(els),
+            "table": [[els[g] for g in row] for row in klein.group.table],
+        },
+        "points": list(klein.points),
+        "action": [[klein.points[y] for y in row] for row in klein.act],
+    }
+    path = tmp_path / "klein.json"
+    path.write_text(json.dumps(payload))
+    code, _, _ = run_cli(capsys, ["system-check", "--system", str(path)])
+    assert code == 0
+    code, out, err = run_cli(
+        capsys, ["compare", "--system", str(path), "--a", "chi:(0,1)", "--b", "chi:(1,0)"]
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ParseError",
+        "message": "unknown point label '(0' in tuple entry 'chi:(0,1)'; chi: splits its "
+        "labels at commas, so name a label that contains a comma with an @file entry",
+    }
+    for name, label in (("a", "(0,1)"), ("b", "(1,0)")):
+        (tmp_path / (name + ".json")).write_text(json.dumps([[label, "1"]]))
+    code, out, _ = run_cli(
+        capsys,
+        [
+            "compare", "--system", str(path),
+            "--a", "@%s" % (tmp_path / "a.json"), "--b", "@%s" % (tmp_path / "b.json"),
+        ],
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["subequivalent"] is True
+
+
 # -- witness commands -----------------------------------------------------------------
 
 
