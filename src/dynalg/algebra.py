@@ -640,13 +640,17 @@ def _positivity_failure(blocks: np.ndarray) -> Optional[str]:
     """Why the representation with these orbit blocks (from
     ``_orbit_point_blocks``) is not positive, or None when it is.
 
-    One test over the stack asks every block to be hermitian within the
-    absolute FLOAT_TOL (``rtol=0``); then one ``eigvalsh`` over it asks
+    A stack with an infinite or NaN entry is refused first: LAPACK can
+    return NaN eigenvalues for it, and NaN compares false with -FLOAT_TOL.
+    Then one test over the stack asks every block to be hermitian within
+    the absolute FLOAT_TOL (``rtol=0``), and one ``eigvalsh`` over it asks
     that no block's least eigenvalue lie below -FLOAT_TOL.  An empty stack
     is positive.
     """
     import numpy as np
 
+    if not np.isfinite(blocks).all():
+        return "element has a non-finite value"
     if not np.allclose(blocks, blocks.conj().swapaxes(1, 2), rtol=0, atol=FLOAT_TOL):
         return "element is not self-adjoint within tolerance"
     if blocks.size and (np.linalg.eigvalsh(blocks).min(axis=1) < -FLOAT_TOL).any():

@@ -732,6 +732,10 @@ class TzsInstance:
             raise ValueError("size must be positive")
         if Fraction(self.epsilon) <= 0:
             raise ValueError("tolerance must be positive")
+        try:
+            float(Fraction(self.epsilon))  # condition (iii) compares in floats
+        except OverflowError:
+            raise ValueError("tolerance is outside float range")
         if self.h.is_zero:
             raise ValueError("h must be nonzero")
 

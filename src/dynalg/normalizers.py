@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import CrossedElement, MatrixElement, Scalar, _stored_points
-from .errors import HypothesisViolated, InvariantViolation
+from .errors import HypothesisViolated, InvariantViolation, NotNormalizerPreserving
 
 __all__ = [
     "is_normalizer",
@@ -211,8 +211,11 @@ def check_normalizer_preserving(images, n: int) -> bool:
     """All matrix-unit images are normalizers.
 
     ``images`` maps (i, j) pairs to crossed-product elements.  When the
-    check passes, the diagonal images must additionally lie in C(X), which
-    is forced for positive maps; InvariantViolation reports a failure.
+    check passes, the diagonal images must additionally lie in C(X).  An
+    exactly positive map forces that, but positivity is decided in floats
+    (``verify_cpc``), and a map that passes within FLOAT_TOL can send e_ii
+    to a normalizer with a small term off the diagonal.  Such a map is an
+    input error: NotNormalizerPreserving names the first such image.
     """
     for i in range(n):
         for j in range(n):
@@ -220,5 +223,7 @@ def check_normalizer_preserving(images, n: int) -> bool:
                 return False
     for i in range(n):
         if not images[(i, i)].in_diagonal:
-            raise InvariantViolation("diagonal image outside C(X)")
+            raise NotNormalizerPreserving(
+                "the image of (%d, %d) is a normalizer outside C(X)" % (i, i)
+            )
     return True

@@ -170,15 +170,22 @@ class RadScalar:
             raise ExactnessError("%r is not rational" % self)
         return Fraction(self.p, self.d)
 
-    # int true division is correctly rounded: p / d is the float nearest p/d
+    # int true division is correctly rounded: p / d is the float nearest p/d;
+    # it and ``rad ** 0.5`` raise OverflowError past the float range
     def __complex__(self) -> complex:
-        d, root = self.d, self.rad ** 0.5
-        return complex(self.p / d * root, self.q / d * root)
+        try:
+            d, root = self.d, self.rad ** 0.5
+            return complex(self.p / d * root, self.q / d * root)
+        except OverflowError:
+            raise ExactnessError("exact value outside float range")
 
     def __float__(self) -> float:
         if self.q:
             raise ExactnessError("%r is not real" % self)
-        return self.p / self.d * self.rad ** 0.5
+        try:
+            return self.p / self.d * self.rad ** 0.5
+        except OverflowError:
+            raise ExactnessError("exact value outside float range")
 
     # -- arithmetic ---------------------------------------------------
 

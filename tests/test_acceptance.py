@@ -161,10 +161,12 @@ def test_criterion_03_and_04_compiler_exactness_and_oracle():
     count = 0
     for sys, a, b, eps, w in _compiler_instances(103, 200):
         count += 1
-        # compile_witness verifies the r-normalizer predicate and the exact
-        # identity internally; any failure raises
         cert = compile_witness(a, b, eps, w)
         if not matrix_is_r_normalizer(cert.t):
+            failures += 1
+        n = cert.t.n
+        bcut = b.cutdown(cert.delta).padded(n).to_matrix()
+        if (cert.t.adjoint() * bcut) * cert.t != a.cutdown(eps).padded(n).to_matrix():
             failures += 1
         w2 = extract_witness(a, b, eps, cert.delta, cert.t)
         if not check_witness(sys, a.cutdown(eps).supports(), b.supports(), w2):

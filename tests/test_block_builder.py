@@ -234,3 +234,16 @@ def test_orbit_positivity_decides_like_the_dense_representation(fixed_point_syst
         "element has an eigenvalue below -1e-09",
         "element is not self-adjoint within tolerance",
     }
+
+
+def test_a_non_finite_block_is_not_positive(fixed_point_system):
+    """The block at point 0 is diag(-1, inf), whose eigvalsh is NaN, and
+    NaN never compares below -FLOAT_TOL; the stack is refused first."""
+    values = [FloatScalar(-1.0), FloatScalar(float("inf")), FloatScalar(1.0)]
+    a = CrossedElement.from_func(Func(fixed_point_system, values))
+    blocks = _orbit_point_blocks(fixed_point_system, ((a,),))
+    assert _positivity_failure(blocks) == "element has a non-finite value"
+    nan = CrossedElement.from_func(Func.from_dict(fixed_point_system, {2: FloatScalar(float("nan"))}))
+    assert _positivity_failure(_orbit_point_blocks(fixed_point_system, ((nan,),))) == (
+        "element has a non-finite value"
+    )

@@ -915,6 +915,14 @@ def _negative_within_tolerance(sys):
     return OrderZeroMap(sys, 1, {(0, 0): CrossedElement.from_func(f)})
 
 
+def _normalizer_outside_cx_within_tolerance(sys):
+    # phi(e_11) = chi_0 + 1e-12 chi_{2,3} u_1 is a normalizer, and it passes
+    # the float Choi test, but it lies outside C(X)
+    small = Func.from_dict(sys, {2: RadScalar(Fraction(1, 10**12)), 3: RadScalar(Fraction(1, 10**12))})
+    p = CrossedElement.from_func(Func.indicator(sys, {0})) + CrossedElement.monomial(small, 1)
+    return OrderZeroMap(sys, 1, {(0, 0): p})
+
+
 # name -> (map builder, system fixture, error, message, number of verifiers
 # run, in the order of VERIFIERS)
 REJECTED_MAPS = {
@@ -941,6 +949,10 @@ REJECTED_MAPS = {
     ),
     "negative_within_tolerance": (
         _negative_within_tolerance, "z2", NotOrderZero, "phi(e_11) is not positive", 3,
+    ),
+    "normalizer_outside_cx_within_tolerance": (
+        _normalizer_outside_cx_within_tolerance, "double_swap", NotNormalizerPreserving,
+        "the image of (0, 0) is a normalizer outside C(X)", 3,
     ),
 }
 

@@ -830,6 +830,57 @@ def test_huge_radicands_split_or_refused_at_once(capsys, tmp_path, z3_file):
     assert json.loads(out)["result"]["subequivalent"] is True
 
 
+HUGE = "1" + "0" * 400  # an exact literal past the largest float
+
+
+def _tzs_instance_file(tmp_path, coefficient="1", epsilon="1/10"):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "n": 3,
+        "epsilon": epsilon,
+        "F": [{"coeffs": [["0", [["0", coefficient], ["1", "1"], ["2", "1"]]]]}],
+        "h": [["0", "1"]],
+    }))
+    return str(path)
+
+
+def test_castle_tzs_coefficient_outside_float_range(capsys, tmp_path, z3_file):
+    # the commutator norms of condition (iii) convert F to floats
+    inst = _tzs_instance_file(tmp_path, coefficient=HUGE)
+    code, out, err = run_cli(
+        capsys, ["castle", "tzs", "--system", z3_file, "--instance", inst, "--identity"]
+    )
+    assert code == 1 and out == ""
+    assert _single_error(err) == {
+        "error": "ExactnessError", "message": "exact value outside float range",
+    }
+
+
+def test_castle_tzs_epsilon_outside_float_range(capsys, tmp_path, z3_file):
+    inst = _tzs_instance_file(tmp_path, epsilon=HUGE)
+    code, out, err = run_cli(
+        capsys, ["castle", "tzs", "--system", z3_file, "--instance", inst, "--identity"]
+    )
+    assert code == 1 and out == ""
+    assert _single_error(err) == {
+        "error": "ParseError",
+        "message": "bad instance payload: tolerance is outside float range",
+    }
+
+
+def test_compare_float_literal_outside_float_range(capsys, tmp_path, z3_file):
+    entry = tmp_path / "f.json"
+    entry.write_text(json.dumps([["0", HUGE], ["1", "1"]]))
+    code, out, err = run_cli(capsys, [
+        "compare", "--system", z3_file, "--float",
+        "--a", "@" + str(entry), "--b", "chi:0,1,2",
+    ])
+    assert code == 1 and out == ""
+    assert _single_error(err) == {
+        "error": "ExactnessError", "message": "exact value outside float range",
+    }
+
+
 # -- error precedence and input reads ----------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from dynalg import (
     DiagTuple,
     DynSystem,
     FiniteGroup,
+    FloatScalar,
     Func,
     IndexOutOfRange,
     InvariantMeasure,
@@ -577,6 +578,14 @@ def test_oracle_rejects_a_negative_eigenvalue(z3):
     with pytest.raises(NotPositive) as exc:
         cuntz_oracle(CrossedElement.unit(z3), a)
     assert str(exc.value) == "element has an eigenvalue below -1e-09"
+
+
+def test_oracle_rejects_a_non_finite_element(z2):
+    # eigvalsh of diag(-1, inf) is NaN, which no tolerance test catches
+    a = CrossedElement.from_func(Func(z2, [FloatScalar(-1.0), FloatScalar(float("inf"))]))
+    with pytest.raises(NotPositive) as exc:
+        cuntz_oracle(a, CrossedElement.unit(z2))
+    assert str(exc.value) == "element has a non-finite value"
 
 
 def test_oracle_builds_no_dense_representation(z3, monkeypatch):

@@ -16,8 +16,9 @@ The witness and comparison cases cover ``witness compile`` and
 (``golden/inputs/z4_certificate.json``), the same certificate against a
 tuple of the wrong length, a certificate whose matrix is not an
 r-normalizer, and ``compare --witness --oracle`` exactly and with
-``--float``.  Every witness command decides whether a matrix is an
-r-normalizer.
+``--float``.  ``witness extract`` and ``witness roundtrip`` decide whether
+a certificate's matrix is an r-normalizer; ``witness compile`` checks only
+its input witness, since the certificate it builds is one by construction.
 
 The semigroup cases cover ``semigroup`` on the free demo systems at
 several ``--max-n``, on a non-free system (the cyclic group of order 4

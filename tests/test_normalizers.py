@@ -12,9 +12,9 @@ from dynalg import (
     FloatScalar,
     Func,
     HypothesisViolated,
-    InvariantViolation,
     MatrixElement,
     NotFree,
+    NotNormalizerPreserving,
     RadicalAdditionMismatch,
     RadScalar,
     as_scalar,
@@ -452,10 +452,11 @@ def test_identity_embedding_preserves(z3):
 
 
 def test_diagonal_image_outside_cx_raises(z3):
-    # a unitary is a normalizer, but a positive map cannot send e_00 to it;
-    # the typed error survives python -O, unlike an assert
-    with pytest.raises(InvariantViolation):
+    # a unitary is a normalizer, but an exactly positive map cannot send e_00
+    # to it; the typed input error survives python -O, unlike an assert
+    with pytest.raises(NotNormalizerPreserving) as exc:
         check_normalizer_preserving({(0, 0): CrossedElement.unitary(z3, 1)}, 1)
+    assert str(exc.value) == "the image of (0, 0) is a normalizer outside C(X)"
 
 
 def test_flat_map_fails(z3):
