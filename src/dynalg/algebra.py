@@ -429,6 +429,18 @@ def _stored_points(a: CrossedElement) -> set:
     return set().union(*(c.sparse.keys() for c in a.coeffs))
 
 
+def _source_points(a: CrossedElement) -> set:
+    """The points g^{-1}.x for every point x stored by a coefficient a_g."""
+    sys = a.system
+    grp = sys.group
+    out: set[int] = set()
+    for g, c in enumerate(a.coeffs):
+        if c.sparse:
+            back = sys.act[grp.inv(g)]
+            out.update(back[x] for x in c.sparse)
+    return out
+
+
 def cond_expectation(a: CrossedElement) -> Func:
     """E(a) = a_e, the faithful conditional expectation onto C(X)."""
     return a.cond_expectation()

@@ -57,6 +57,7 @@ contractivity.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -69,6 +70,7 @@ from .algebra import (
     _largest_norm,
     _orbit_point_blocks,
     _positivity_failure,
+    _source_points,
     _stored_points,
     operator_norm,
 )
@@ -89,7 +91,7 @@ from .errors import (
     SystemMismatch,
 )
 from .normalizers import check_normalizer_preserving
-from .scalars import FLOAT_TOL, RadScalar
+from .scalars import FLOAT_TOL, ZERO, FloatScalar, RadScalar
 
 __all__ = [
     "Castle",
@@ -345,33 +347,71 @@ class OrderZeroMap:
         return "OrderZeroMap(n=%d over %r)" % (self.n, self.system)
 
 
+def _nonzero_values(f: Func) -> dict:
+    """The stored values of f that do not read as zero, in stored order."""
+    return {x: v for x, v in f.sparse.items() if not v.is_zero}
+
+
 def _assemble(data: CastleOzmData) -> OrderZeroMap:
     """The map of already validated castle data, without verification.
 
-    Each image is built once from its coefficient list: tower t adds
-    psi . alpha_{s_i^{-1}} to the coefficient of u_{s_i s_j^{-1}}.  Each
-    tower's conjugated phases are formed once per call.
+    The coefficient dicts are written straight from the levels: for
+    tower t, base point x and weight w = f_t(x), image (i, j) stores
+    theta_i(x) conj(theta_j(x)) w, multiplied left to right, at the point
+    s_i.x on u_{s_i s_j^{-1}}.  As in a pointwise product of Funcs, a
+    point where an operand reads as zero is skipped, and a tower whose
+    values for (i, j) all read as zero writes nothing.  A written point
+    x carries a weight that does not read as zero, so it lies in V_t, and
+    s_i.x lies in the level s_i.V_t.  The levels are pairwise disjoint,
+    so no two towers write one (image, group element, point), and no sum
+    is formed.
+
+    The image is the sum over the towers of their terms, and adding the
+    exact zero to a float clears the sign of a zero part: a float
+    coefficient that two or more towers write stores each value plus the
+    exact zero, and one written by a single tower keeps its signed zeros.
     """
     sys = data.castle.system
     grp = sys.group
     n = data.n
-    zero = Func.zero(sys)
-    conj_rows = [tuple(th.conj() for th in th_row) for th_row in data.phases]
-    images = {}
-    for i in range(n):
-        for j in range(n):
-            coeffs = [zero] * grp.order
-            for (base, shape), f, th_row, conj_row in zip(
-                data.castle.towers, data.weights, data.phases, conj_rows
-            ):
-                psi = th_row[i] * conj_row[j] * f
-                if psi.is_zero:
+    keys = itertools.product(range(n), repeat=2)
+    images = {key: [{} for _ in range(grp.order)] for key in keys}
+    shared = set()
+    for (_, shape), f, th_row in zip(data.castle.towers, data.weights, data.phases):
+        w = _nonzero_values(f)
+        rows = [_nonzero_values(th) for th in th_row]
+        conj_rows = [{x: v.conjugate() for x, v in row.items()} for row in rows]
+        for i, si in enumerate(shape):
+            move = sys.act[si]
+            for j, sj in enumerate(shape):
+                conj_j = conj_rows[j]
+                written = []
+                for x, a in rows[i].items():
+                    if x in conj_j and x in w:
+                        ab = a * conj_j[x]
+                        if not ab.is_zero:
+                            written.append((move[x], ab * w[x]))
+                if all(v.is_zero for _, v in written):
                     continue
-                si, sj = shape[i], shape[j]
                 g = grp.mul(si, grp.inv(sj))
-                coeffs[g] = coeffs[g] + psi.compose_action(grp.inv(si))
-            images[(i, j)] = CrossedElement(sys, coeffs)
-    return OrderZeroMap(sys, n, images)
+                coeff = images[(i, j)][g]
+                if coeff:
+                    shared.add((i, j, g))
+                coeff.update(written)
+    for i, j, g in shared:
+        coeff = images[(i, j)][g]
+        for y, v in coeff.items():
+            if type(v) is FloatScalar:
+                coeff[y] = v + ZERO
+    zero = Func.zero(sys)
+    return OrderZeroMap(
+        sys,
+        n,
+        {
+            key: CrossedElement(sys, [Func._of(sys, c) if c else zero for c in coeffs])
+            for key, coeffs in images.items()
+        },
+    )
 
 
 def _is_exact(data: CastleOzmData) -> bool:
@@ -407,9 +447,11 @@ def build_castle_ozm(data: CastleOzmData) -> OrderZeroMap:
       a chi_x a* lie in C(X), and phi(e_ii) lies in C(X).
 
     Each of these is an identity between exact values, so the verifiers
-    hold on the result.  Float data is verified after assembly, since
-    its unit moduli and norm bound hold only within a tolerance that the
-    products can exceed: a phase of modulus 1 + 9e-10 passes
+    hold on the result.  The sum over t is never formed: the terms of
+    distinct towers sit on disjoint levels, so ``_assemble`` writes each
+    value at its point directly.  Float data is verified after assembly,
+    since its unit moduli and norm bound hold only within a tolerance
+    that the products can exceed: a phase of modulus 1 + 9e-10 passes
     ``validate`` and fails complete positivity.
     """
     data.validate()
@@ -449,18 +491,6 @@ def identity_embedding(sys: DynSystem) -> OrderZeroMap:
 
 
 # -- verifiers -------------------------------------------------------------
-
-
-def _source_points(a: CrossedElement) -> set:
-    """The points g^{-1}.x for every point x stored by a coefficient a_g."""
-    sys = a.system
-    grp = sys.group
-    out: set[int] = set()
-    for g, c in enumerate(a.coeffs):
-        if c.sparse:
-            back = sys.act[grp.inv(g)]
-            out.update(back[x] for x in c.sparse)
-    return out
 
 
 def verify_order_zero(phi: OrderZeroMap) -> bool:
@@ -733,8 +763,10 @@ class TzsInstance:
         if Fraction(self.epsilon) <= 0:
             raise ValueError("tolerance must be positive")
         try:
-            float(Fraction(self.epsilon))  # condition (iii) compares in floats
+            eps = float(Fraction(self.epsilon))  # condition (iii) compares in floats
         except OverflowError:
+            eps = math.inf
+        if eps in (0.0, math.inf):
             raise ValueError("tolerance is outside float range")
         if self.h.is_zero:
             raise ValueError("h must be nonzero")
@@ -772,7 +804,8 @@ def check_tzs_instance(inst: TzsInstance, phi: OrderZeroMap) -> TzsReport:
     Condition (iii) is the float comparison ``n*n*worst < float(epsilon)``
     with no tolerance, unlike the other float decisions: an exact tie
     ||[a, phi(e_ij)]|| = epsilon/n^2 can read as a pass when the computed
-    norm rounds below it.
+    norm rounds below it.  A norm that is not finite (an exact value whose
+    float conversion reaches inf gives inf or NaN) fails the condition.
     """
     sys = phi.system
     cond_i = verify_normalizer_preserving(phi)
@@ -800,7 +833,8 @@ def check_tzs_instance(inst: TzsInstance, phi: OrderZeroMap) -> TzsReport:
                 if value > worst:
                     worst = value
     factor = phi.n * phi.n
-    cond_iii = factor * worst < float(inst.epsilon)
+    finite = all(math.isfinite(value) for *_, value in margins)
+    cond_iii = finite and factor * worst < float(inst.epsilon)
     notes = (
         "commutator check runs over matrix units; linearity bounds a general "
         "contraction by the stated n^2 factor",

@@ -8,24 +8,41 @@ closed form in the coefficients: the u_k coefficient of b* chi_x c is
     sum_h conj(b_h(x)) c_{hk}(x) chi_{h^{-1} x},
 
 so a is an r-normalizer exactly when, for every point x, these sums
-vanish for every k != e and every point.  The predicates evaluate the
-sums directly, with no crossed products.  A matrix amplification is
+vanish for every k != e and every point.  A matrix amplification is
 decided entrywise: every entry is an r-normalizer, and two entries of one
 row give zero against every point indicator.
 
-Every term of the sum at x carries the factor b_h(x) c_{hk}(x), so the
-sums vanish at every point x where b or c stores no coefficient value.
-The predicates therefore visit only the points that carry a coefficient
-(of a, or of both entries of a row pair), in ascending order, so the
-first point whose sums raise RadicalAdditionMismatch is the same as in a
-pass over every point.
+On a free action with exact values no sum is ever formed.  The term
+for h and l = hk sits at the point h^{-1}.x on u_{h^{-1} l}; the point
+fixes h and the group element then fixes l, so each (k, point) gets at
+most one term, and a product of two nonzero exact values is nonzero.
+There a stores only nonzero values, and the predicates decide by
+supports alone, with no scalar operation and no adjoint:
 
-For free actions the one-sided condition is equivalent to the
-coefficient supports being pairwise disjoint
-(``coefficient_supports_disjoint``).  The test suite keeps that
-criterion, a per-row support criterion for matrices and the reduction of
-a matrix to one element over the product-with-cyclic system as
-independent oracles, and requires the predicates here to agree with them.
+* a is an r-normalizer exactly when no point is stored by two
+  coefficients;
+* a is an s-normalizer (a* an r-normalizer) exactly when the sets
+  h^{-1}.stored(a_h) are pairwise disjoint, since a*_{h^{-1}} stores
+  exactly h^{-1}.stored(a_h);
+* two entries of one row pass exactly when they store no common point.
+
+The sums cannot raise RadicalAdditionMismatch there either, so verdicts
+and exceptions are those of the sums.  On a non-free action several
+terms can land on one point and cancel, and a float product can read as
+zero within the tolerance, so non-free or float input takes the sum
+route: the sums are evaluated directly, with no crossed products.  Every
+term of the sum at x carries the factor b_h(x) c_{hk}(x), so the sums
+vanish at every point x where b or c stores no coefficient value; the
+sum route visits only the points that carry a coefficient (of a, or of
+both entries of a row pair), in ascending order, so the first point
+whose sums raise RadicalAdditionMismatch is the same as in a pass over
+every point.
+
+The test suite keeps the support criterion of
+``coefficient_supports_disjoint``, a per-row support criterion for
+matrices and the reduction of a matrix to one element over the
+product-with-cyclic system as independent oracles, and requires the
+predicates here to agree with them.
 """
 
 from __future__ import annotations
@@ -33,8 +50,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import CrossedElement, MatrixElement, Scalar, _stored_points
+from .algebra import CrossedElement, MatrixElement, Scalar, _source_points, _stored_points
 from .errors import HypothesisViolated, InvariantViolation, NotNormalizerPreserving
+from .scalars import RadScalar
 
 __all__ = [
     "is_normalizer",
@@ -94,15 +112,31 @@ def _point_product_vanishes(
     )
 
 
+def _exact_on_free(*elements: CrossedElement) -> bool:
+    """Whether the support route decides: a free action and only exact
+    values stored."""
+    return elements[0].system.is_free and all(
+        type(v) is RadScalar for a in elements for c in a.coeffs for v in c.sparse.values()
+    )
+
+
+def _stored_count(a: CrossedElement) -> int:
+    return sum(len(c.sparse) for c in a.coeffs)
+
+
 def is_r_normalizer(a: CrossedElement) -> bool:
     """a*Da subset of D, decided from the coefficients.
 
     For each point x the u_k coefficient of a* chi_x a is
     sum_h conj(a_h(x)) a_{hk}(x) chi_{h^{-1} x}; a is an r-normalizer
-    exactly when every such sum with k != e vanishes at every point.  At
-    a point where no coefficient stores a value the sums have no term, so
-    only the other points are visited, in ascending order.
+    exactly when every such sum with k != e vanishes at every point.  On
+    a free action with exact values that holds exactly when no point is
+    stored by two coefficients.  Otherwise the sums are evaluated; at a
+    point where no coefficient stores a value they have no term, so only
+    the other points are visited, in ascending order.
     """
+    if _exact_on_free(a):
+        return len(_stored_points(a)) == _stored_count(a)
     return all(
         _point_product_vanishes(a, a, x, diagonal_allowed=True)
         for x in sorted(_stored_points(a))
@@ -110,7 +144,14 @@ def is_r_normalizer(a: CrossedElement) -> bool:
 
 
 def is_s_normalizer(a: CrossedElement) -> bool:
-    """aDa* subset of D; the adjoint swaps the two one-sided conditions."""
+    """aDa* subset of D; the adjoint swaps the two one-sided conditions.
+
+    a*_{h^{-1}} stores exactly the points h^{-1}.stored(a_h), so on a
+    free action with exact values a is an s-normalizer exactly when these
+    sets are pairwise disjoint, and no adjoint is formed.
+    """
+    if _exact_on_free(a):
+        return len(_source_points(a)) == _stored_count(a)
     return is_r_normalizer(a.adjoint())
 
 
@@ -135,7 +176,9 @@ def matrix_is_r_normalizer(x: MatrixElement) -> bool:
     Each entry must be an r-normalizer, and any two entries x_ki, x_kj
     (i < j) of one row must satisfy x_ki* chi_p x_kj = 0 at every point p;
     that product has no term unless both entries store a value at p, so
-    only those points are visited, in ascending order.
+    only those points are visited, in ascending order.  On a free action
+    with exact values a row pair passes exactly when its entries store no
+    common point.
     """
     n = x.n
     for i in range(n):
@@ -151,7 +194,10 @@ def matrix_is_r_normalizer(x: MatrixElement) -> bool:
                 right = x.entries[k][j]
                 if right.is_zero:
                     continue
-                for p in sorted(_stored_points(left) & _stored_points(right)):
+                common = _stored_points(left) & _stored_points(right)
+                if common and _exact_on_free(left, right):
+                    return False
+                for p in sorted(common):
                     if not _point_product_vanishes(left, right, p, diagonal_allowed=False):
                         return False
     return True

@@ -22,6 +22,7 @@ from dynalg import (
     NotFree,
     NotPositive,
     OrbitBlock,
+    OrderZeroMap,
     RadicalAdditionMismatch,
     RadScalar,
     Witness,
@@ -603,6 +604,36 @@ def product_order_zero(phi) -> bool:
         if not (pS * pT).is_zero:
             return False
     return True
+
+
+def func_assemble(data) -> OrderZeroMap:
+    """The map of validated castle data, Func by Func.
+
+    Tower t adds psi . alpha_{s_i^{-1}}, with psi = theta_i conj(theta_j)
+    f_t formed by Func products, to the coefficient of u_{s_i s_j^{-1}}
+    of image (i, j), through ``Func.__add__``.  An oracle for the
+    library's assembly, which writes the stored values directly.
+    """
+    sys = data.castle.system
+    grp = sys.group
+    n = data.n
+    zero = Func.zero(sys)
+    conj_rows = [tuple(th.conj() for th in th_row) for th_row in data.phases]
+    images = {}
+    for i in range(n):
+        for j in range(n):
+            coeffs = [zero] * grp.order
+            for (_, shape), f, th_row, conj_row in zip(
+                data.castle.towers, data.weights, data.phases, conj_rows
+            ):
+                psi = th_row[i] * conj_row[j] * f
+                if psi.is_zero:
+                    continue
+                si, sj = shape[i], shape[j]
+                g = grp.mul(si, grp.inv(sj))
+                coeffs[g] = coeffs[g] + psi.compose_action(grp.inv(si))
+            images[(i, j)] = CrossedElement(sys, coeffs)
+    return OrderZeroMap(sys, n, images)
 
 
 # -- representation builders, one loop per concept -----------------------------

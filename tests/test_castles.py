@@ -53,6 +53,7 @@ from _support import (
     dense_matrix_rep,
     dense_regular_rep,
     dense_verify_cpc,
+    func_assemble,
     linalg_size_guard,
     product_order_zero,
     quotient_system,
@@ -1181,3 +1182,151 @@ def test_exact_castle_maps_cost_n_cubed_products(crossed_products):
         assert build_castle_ozm(recovered) == phi
         assert crossed_products[0] == n ** 3
         crossed_products[0] = 0
+
+
+# -- assembly written from the levels ---------------------------------------------
+
+ASSEMBLY_PHASES = PHASE_POOL + [RadScalar(Fraction(3, 5), Fraction(4, 5))]
+# below, at and just above the zero tolerance; with a float phase of
+# modulus 1 - 9e-10, which validation accepts as unit, a product of a
+# weight just above the tolerance reads as zero
+NEAR_ZERO_WEIGHTS = [FloatScalar(k * FLOAT_TOL) for k in (0.5, 1.0, 1.0000000000000009, 1.5, 3.0)]
+SHORT_PHASE = FloatScalar(1 - 9e-10)
+
+
+@st.composite
+def assembly_data(draw):
+    """Valid castle data in one of three modes: exact, float, or exact
+    weights with float phases.  Towers often share the first shape.  Float
+    weights can lie within a few FLOAT_TOL of zero, where a weight that
+    reads as zero has a phase that stores nothing or a value that reads
+    as zero too; float phases include one of modulus 1 - 9e-10."""
+    sys = draw(st.sampled_from(ORACLE_SYSTEMS))
+    order = sys.group.order
+    n = draw(st.integers(1, min(3, order)))
+    mode = draw(st.sampled_from(("exact", "float", "mixed")))
+    float_weights, float_phases = mode == "float", mode != "exact"
+
+    def scalar(v, as_float):
+        return FloatScalar(complex(v)) if as_float else v
+
+    first = tuple(draw(st.permutations(range(order)))[:n])
+    points = draw(st.permutations(range(sys.n_points)))
+    occupied = set()
+    towers, weights, phases = [], [], []
+    for _ in range(draw(st.integers(2, 4))):
+        shape = first if draw(st.booleans()) else tuple(draw(st.permutations(range(order)))[:n])
+        size = draw(st.integers(1, 2))
+        base = []
+        for x in points:
+            if len(base) == size:
+                break
+            levels = [sys.act[s][p] for s in shape for p in base + [x]]
+            if len(set(levels)) == len(levels) and not occupied & set(levels):
+                base.append(x)
+        if not base:
+            continue
+        occupied |= {sys.act[s][p] for s in shape for p in base}
+        points = [p for p in points if p not in base]
+        towers.append((frozenset(base), shape))
+        pool = [scalar(v, float_weights) for v in RADICAL_WEIGHTS]
+        if float_weights:
+            pool = NEAR_ZERO_WEIGHTS + pool
+        f = Func.from_dict(sys, {x: draw(st.sampled_from(pool)) for x in base})
+        weights.append(f)
+        row = []
+        for _ in range(n):
+            values = {}
+            for x in base:
+                if x in f.support:
+                    pool = [scalar(v, float_phases) for v in ASSEMBLY_PHASES]
+                    if float_phases:
+                        pool.insert(0, SHORT_PHASE)
+                    values[x] = draw(st.sampled_from(pool))
+                elif draw(st.booleans()):
+                    values[x] = FloatScalar(3e-10)
+            row.append(Func.from_dict(sys, values))
+        phases.append(tuple(row))
+    data = CastleOzmData(
+        castle=Castle(sys, tuple(towers)),
+        weights=tuple(weights),
+        phases=tuple(phases),
+        n=n,
+    )
+    data.validate()
+    return data
+
+
+def _stored_values(phi):
+    """Every stored value by (image, group element, point): exact values
+    as their four ints, float values as the repr of the complex."""
+    return {
+        (key, g, x): (v.p, v.q, v.d, v.rad) if type(v) is RadScalar else repr(v.value)
+        for key, a in phi.images.items()
+        for g, c in enumerate(a.coeffs)
+        for x, v in c.sparse.items()
+    }
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(assembly_data())
+def test_assembly_matches_the_func_oracle(data):
+    assert _stored_values(castles._assemble(data)) == _stored_values(func_assemble(data))
+
+
+def test_float_signed_zeros_follow_the_sum_over_towers(z2, double_swap):
+    """conj(-1) is -1 - 0i, so 1 * conj(-1) * 1 has the imaginary part
+    -0.0.  Written by one tower, the coefficient keeps it; a coefficient
+    that a second tower also writes is the sum of both towers' terms, and
+    adding the exact zero clears the sign."""
+    def image_01(sys, bases):
+        towers = tuple((frozenset({x}), (0, 1)) for x in bases)
+        one, minus = FloatScalar(1), FloatScalar(-1)
+        data = CastleOzmData(
+            castle=Castle(sys, towers),
+            weights=tuple(Func.from_dict(sys, {x: one}) for x in bases),
+            phases=tuple(
+                (Func.from_dict(sys, {x: one}), Func.from_dict(sys, {x: minus})) for x in bases
+            ),
+            n=2,
+        )
+        return castles._assemble(data).images[(0, 1)].coeffs[1].sparse
+
+    alone = image_01(z2, [0])
+    assert repr(alone[0].value) == "(-1-0j)"
+    shared = image_01(double_swap, [0, 2])
+    assert [repr(shared[x].value) for x in (0, 2)] == ["(-1+0j)", "(-1+0j)"]
+
+
+def test_exact_castle_round_trip_forms_no_func_product_and_no_sum(monkeypatch):
+    """Exact build, decompose and normalizer check on free input write
+    coefficients from the levels and decide normalizers by supports: no
+    Func product, no translate and no per-point sum."""
+    import dynalg.normalizers as normalizers
+
+    rng = random.Random(56)
+    maps = [identity_embedding(DynSystem.translation(FiniteGroup.klein()))]
+    cases = []
+    while len(cases) < 20:
+        sys = random_free_system(rng, max_points=8)
+        data = random_castle_data(
+            rng, sys, rng.randint(1, min(3, sys.group.order)), phase_pool=RADICAL_PHASES
+        )
+        if data is not None:
+            cases.append(data)
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError("%s called on free exact input" % name)
+        return call
+
+    monkeypatch.setattr(Func, "__mul__", refuse("Func.__mul__"))
+    monkeypatch.setattr(Func, "compose_action", refuse("Func.compose_action"))
+    monkeypatch.setattr(normalizers, "_point_product_vanishes", refuse("_point_product_vanishes"))
+    for data in cases:
+        phi = build_castle_ozm(data)
+        assert verify_normalizer_preserving(phi)
+        assert decompose_ozm(phi).castle.system is data.castle.system
+        maps.append(phi)
+    for phi in maps:
+        assert verify_normalizer_preserving(phi)

@@ -868,6 +868,40 @@ def test_castle_tzs_epsilon_outside_float_range(capsys, tmp_path, z3_file):
     }
 
 
+def test_castle_tzs_epsilon_below_float_range(capsys, tmp_path, z3_file):
+    # 1e-400 reads as the float 0.0, which no commutator norm is below
+    argv = ["castle", "tzs", "--system", z3_file, "--identity", "--instance"]
+    code, out, err = run_cli(capsys, argv + [_tzs_instance_file(tmp_path, epsilon="1e-400")])
+    assert code == 1 and out == ""
+    assert _single_error(err) == {
+        "error": "ParseError",
+        "message": "bad instance payload: tolerance is outside float range",
+    }
+    code, out, err = run_cli(capsys, argv + [_tzs_instance_file(tmp_path, epsilon="1e-300")])
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["commutator_condition"] is True
+
+
+def test_castle_tzs_fails_a_norm_that_is_not_finite(capsys, tmp_path, z3_file):
+    # the exact value is finite, but its float, 1.5e308 times sqrt 2, is inf,
+    # and the commutator norms then read nan
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "n": 3,
+        "epsilon": "1/10",
+        "F": [{"coeffs": [["0", [["0", "15" + "0" * 307 + " sqrt 2"]]]]}],
+        "h": [["0", "1"]],
+    }))
+    code, out, err = run_cli(
+        capsys, ["castle", "tzs", "--system", z3_file, "--instance", str(path), "--identity"]
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert "nan" in {row[3] for row in report["margins"]["per_unit"]}
+    assert report["result"]["commutator_condition"] is False
+    assert report["result"]["all_pass"] is False
+
+
 def test_compare_float_literal_outside_float_range(capsys, tmp_path, z3_file):
     entry = tmp_path / "f.json"
     entry.write_text(json.dumps([["0", HUGE], ["1", "1"]]))

@@ -8,7 +8,11 @@ when it fails.
 The castle cases cover ``build-ozm``, ``decompose`` and ``tzs --data`` on
 exact data and with ``--float``, two float-mode data files that pass
 validation but not the map verifiers (a phase of modulus 1 + 9e-10, and
-phase moduli 1, 1 - 9e-10, 1), and data that fails validation.
+phase moduli 1, 1 - 9e-10, 1), and data that fails validation.  Two
+towers that share a shape (``golden/inputs/two_towers.json``) pin
+``build-ozm`` exactly and with ``--float``: there the second tower's
+phase -1 gives the imaginary part -0.0, and the report prints 0.0, as
+the sum over both towers writes it.
 
 The witness and comparison cases cover ``witness compile`` and
 ``witness roundtrip`` of a two-row tuple on the cyclic group of order 4,
@@ -79,6 +83,15 @@ CASTLE_CASES = {
     "heavy_weight": (
         ["castle", "build-ozm", "--system", Z2, "--data", _input("heavy_weight.json")],
         1,
+    ),
+    "build_ozm_two_towers": (
+        ["castle", "build-ozm", "--system", Z2_DOUBLE, "--data", _input("two_towers.json")],
+        0,
+    ),
+    "build_ozm_float_two_towers": (
+        ["castle", "build-ozm", "--float", "--system", Z2_DOUBLE,
+         "--data", _input("two_towers.json")],
+        0,
     ),
 }
 

@@ -240,9 +240,10 @@ def test_point_product_matches_crossed_products(fixed_point_system):
 
 
 def test_predicates_visit_only_points_that_carry_a_coefficient(monkeypatch, z4):
-    """is_r_normalizer tests each point where a coefficient stores a value
-    once, in ascending order; a row pair of a matrix is tested at the
-    points where both entries store one."""
+    """On float or non-free input is_r_normalizer evaluates the sums at
+    each point where a coefficient stores a value, once, in ascending
+    order, and a row pair of a matrix at the points where both entries
+    store one.  On free exact input the support route visits no point."""
     import dynalg.normalizers as normalizers
 
     visited = []
@@ -252,19 +253,72 @@ def test_predicates_visit_only_points_that_carry_a_coefficient(monkeypatch, z4):
         visited.append((x, diagonal_allowed))
         return test(b, c, x, diagonal_allowed)
 
+    def as_float(a):
+        return CrossedElement(a.system, [
+            Func.from_dict(a.system, {x: FloatScalar(complex(v)) for x, v in c.sparse.items()})
+            for c in a.coeffs
+        ])
+
     monkeypatch.setattr(normalizers, "_point_product_vanishes", recorded)
     rng = random.Random(28)
     for _ in range(40):
         a = random_disjoint_support_element(rng, random_free_system(rng, max_points=8))
         visited.clear()
         assert is_r_normalizer(a)
-        assert visited == [(x, True) for x in sorted({x for c in a.coeffs for x in c.sparse})]
+        assert visited == []
+        for b in (as_float(a), random_disjoint_support_element(rng, quotient_system())):
+            stored = sorted({x for c in b.coeffs for x in c.sparse})
+            visited.clear()
+            assert is_r_normalizer(b)
+            assert visited == [(x, True) for x in stored]
 
     left = CrossedElement.monomial(chi(z4, {0, 2}), 1)
     right = CrossedElement.monomial(chi(z4, {2, 3}), 3)
     visited.clear()
     assert not matrix_is_r_normalizer(MatrixElement(z4, [[left, right], [left, right]]))
+    assert visited == []
+    left, right = as_float(left), as_float(right)
+    assert not matrix_is_r_normalizer(MatrixElement(z4, [[left, right], [left, right]]))
     assert [x for x, diagonal_allowed in visited if not diagonal_allowed] == [2]
+
+
+def test_support_route_matches_the_sum_route(monkeypatch):
+    """On free exact input the support route gives the verdicts of the
+    sums, for elements, their adjoints and the row pairs of matrices."""
+    import dynalg.normalizers as normalizers
+
+    rng = random.Random(29)
+    elements, matrices = [], []
+    for _ in range(120):
+        sys = random_free_system(rng)
+        pool = rng.choice((COEFF_POOL, RADICAL_POOL))
+        a = rng.choice((
+            pooled_element(rng, sys, pool),
+            random_element(rng, sys),
+            random_disjoint_support_element(rng, sys),
+        ))
+        elements += [a, a.adjoint()]
+        n = rng.randint(1, 3)
+        matrices.append(MatrixElement(sys, [
+            [
+                random_disjoint_support_element(rng, sys, max_terms=1)
+                if rng.random() < 0.6 else CrossedElement.zero(sys)
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]))
+
+    def verdicts():
+        return (
+            [(outcome(is_r_normalizer, a), outcome(is_s_normalizer, a)) for a in elements],
+            [outcome(matrix_is_r_normalizer, m) for m in matrices],
+        )
+
+    by_supports = verdicts()
+    monkeypatch.setattr(normalizers, "_exact_on_free", lambda *elements: False)
+    assert verdicts() == by_supports
+    pairs, rows = by_supports
+    assert {r for r, _ in pairs} == {s for _, s in pairs} == set(rows) == {True, False}
 
 
 def test_matrix_entrywise_matches_indicator_oracle(fixed_point_system):
